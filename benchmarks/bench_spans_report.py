@@ -86,7 +86,7 @@ def measure(duration: float, repeats: int) -> dict:
             seconds["off_b"].append(t_off_b)
             seconds["spans"].append(t_spans)
             seconds["profiler"].append(t_prof)
-            span_rows = len(read_jsonl(spans.span_path))
+            span_rows = len(read_jsonl(spans.artifacts["spans"]))
             profiler_events = profiler.as_dict()["total_events"]
 
     best = {name: min(times) for name, times in seconds.items()}

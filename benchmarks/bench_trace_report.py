@@ -68,7 +68,7 @@ def measure_replay(duration: float) -> dict:
         recorded_started = time.perf_counter()
         recorded = run_scenario(recorded_spec)
         recorded_seconds = time.perf_counter() - recorded_started
-        rows = len(read_jsonl(recorded.telemetry_path))
+        rows = len(read_jsonl(recorded.artifacts["telemetry"]))
 
     if plain.summary() != recorded.summary():
         raise RuntimeError("telemetry recording changed the scenario summary")

@@ -107,7 +107,7 @@ class BFTNodeBase(SnapshotState):
         "_epoch_start_pending",
         "_epoch_timer",
         "started",
-        "span_probe",
+        "probe",
     )
 
     def __init__(
@@ -170,7 +170,7 @@ class BFTNodeBase(SnapshotState):
         self.started = False
         #: Optional :class:`repro.trace.spans.SpanRecorder`, installed by its
         #: ``attach``; copied onto VID/BA automata as they are created.
-        self.span_probe = None
+        self.probe = None
 
     # ------------------------------------------------------------------
     # Process interface
@@ -288,7 +288,7 @@ class BFTNodeBase(SnapshotState):
                 allowed_disperser=instance.proposer,
                 retrieval_rank=float(instance.epoch),
             )
-            vid.probe = self.span_probe
+            vid.probe = self.probe
             self._vid_instances[instance] = vid
             self._automata[instance] = vid.handle
         return vid
@@ -303,7 +303,7 @@ class BFTNodeBase(SnapshotState):
                 coin=self.coin,
                 on_output=self._handle_ba_output,
             )
-            ba.probe = self.span_probe
+            ba.probe = self.probe
             self._ba_instances[instance] = ba
             self._automata[instance] = ba.handle
         return ba
@@ -365,8 +365,8 @@ class BFTNodeBase(SnapshotState):
         block = self._make_block(epoch)
         state.own_block = block
         state.proposed_at = self.ctx.now
-        if self.span_probe is not None:
-            self.span_probe.on_dispersal_start(self.node_id, epoch, self.ctx.now)
+        if self.probe is not None:
+            self.probe.on_dispersal_start(self.node_id, epoch, self.ctx.now)
         self._disperse_block(epoch, block)
         if self.on_propose is not None:
             self.on_propose(self.node_id, block, self.ctx.now)
@@ -445,8 +445,8 @@ class BFTNodeBase(SnapshotState):
         while prefix + 1 in self._completed_vids[proposer]:
             prefix += 1
         self._v_prefix[proposer] = prefix
-        if self.span_probe is not None and proposer == self.node_id:
-            self.span_probe.on_dispersal_complete(
+        if self.probe is not None and proposer == self.node_id:
+            self.probe.on_dispersal_complete(
                 self.node_id, instance.epoch, self.ctx.now
             )
         self._on_vid_complete(instance)
@@ -503,14 +503,14 @@ class BFTNodeBase(SnapshotState):
         if slot in state.retrieved:
             self._after_retrieval_progress(epoch)
             return
-        if self.span_probe is not None:
-            self.span_probe.on_retrieval_start(self.node_id, epoch, slot, self.ctx.now)
+        if self.probe is not None:
+            self.probe.on_retrieval_start(self.node_id, epoch, slot, self.ctx.now)
         instance = VIDInstanceId(epoch=epoch, proposer=slot)
         self._get_vid(instance).retrieve(partial(self._slot_retrieved, epoch, slot))
 
     def _slot_retrieved(self, epoch: int, slot: int, result: RetrievalResult) -> None:
-        if self.span_probe is not None:
-            self.span_probe.on_retrieval_done(self.node_id, epoch, slot, self.ctx.now)
+        if self.probe is not None:
+            self.probe.on_retrieval_done(self.node_id, epoch, slot, self.ctx.now)
         block = self._block_from_payload(result.payload) if result.ok else None
         self._epoch_state(epoch).retrieved[slot] = block
         self._after_retrieval_progress(epoch)
@@ -593,8 +593,8 @@ class BFTNodeBase(SnapshotState):
             self._deliver_linked_blocks(epoch, state)
             state.fully_delivered = True
             self.delivered_epoch = epoch
-            if self.span_probe is not None:
-                self.span_probe.on_commit(self.node_id, epoch, self.ctx.now)
+            if self.probe is not None:
+                self.probe.on_commit(self.node_id, epoch, self.ctx.now)
             self._on_epoch_delivered(epoch, state)
 
     def _deliver_ba_blocks(self, epoch: int, state: EpochState) -> None:

@@ -31,7 +31,7 @@ checkpointing, ``--telemetry`` records a per-point JSONL time-series, and
 ``--workers`` sizes the process pool.  Misuse is always a one-line
 ``error: ...`` and exit status 2, never a traceback.
 
-``resume`` continues a ``repro-ckpt-v1`` checkpoint (written by
+``resume`` continues a ``repro-ckpt-v2`` checkpoint (written by
 ``--checkpoint-every`` / ``--set checkpoint_every=…``) to completion and
 prints the same unified summary ``run`` would have produced; a truncated,
 corrupt, or foreign-scenario file is a one-line error and exit status 2.
@@ -58,10 +58,11 @@ from typing import Any, Sequence
 
 from repro.common.errors import ConfigurationError, SnapshotError
 from repro.experiments.catalog import NamedScenario, get_scenario, list_scenarios
-from repro.experiments.engine import ScenarioResult, SweepResult, sweep
+from repro.experiments.engine import SweepResult, run_scenario, sweep
 from repro.experiments.options import ExecutionOptions
 from repro.experiments.runner import resume_experiment
 from repro.experiments.scenario import ScenarioSpec, apply_override
+from repro.sim.snapshot import load_checkpoint
 from repro.trace.cli import add_trace_parser, run_trace_command
 
 
@@ -143,7 +144,7 @@ def add_execution_options(cmd: argparse.ArgumentParser, *, sweepable: bool) -> N
     group.add_argument(
         "--checkpoint-every",
         type=float,
-        help="write a repro-ckpt-v1 checkpoint every this many virtual "
+        help="write a repro-ckpt-v2 checkpoint every this many virtual "
         "seconds while the run executes",
     )
     group.add_argument("--json", action="store_true", help="emit JSON summaries")
@@ -223,9 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
         add_execution_options(cmd, sweepable=True)
 
     resume = sub.add_parser(
-        "resume", help="continue a repro-ckpt-v1 checkpoint to completion"
+        "resume", help="continue a repro-ckpt-v2 checkpoint to completion"
     )
-    resume.add_argument("checkpoint", help="path to a repro-ckpt-v1 checkpoint file")
+    resume.add_argument("checkpoint", help="path to a repro-ckpt-v2 checkpoint file")
     add_execution_options(resume, sweepable=False)
 
     add_trace_parser(sub)
@@ -302,50 +303,58 @@ def _run_resume(args: argparse.Namespace) -> int:
     """The ``resume`` subcommand: continue a checkpoint and print its summary.
 
     Checkpoints written by the scenario engine carry the originating spec in
-    their metadata, so the printed summary has the same unified schema as a
-    fresh ``run`` of that scenario — a resumed run is diffable against the
-    golden summaries.  Malformed or foreign checkpoints produce a one-line
-    error and exit status 2, never a traceback.
+    their metadata; those resume through :func:`run_scenario`, so the
+    printed summary has the same unified schema as a fresh ``run`` of that
+    scenario (diffable against the golden summaries) and every sink the
+    spec enables is written to the same file, with the same bytes, as the
+    uninterrupted ``run``.  Malformed or foreign checkpoints, and ones whose
+    sinks do not match their spec, produce a one-line error and exit status
+    2, never a traceback.
     """
     checkpoint_path = args.checkpoint_path
     if args.checkpoint_every is not None and checkpoint_path is None:
         checkpoint_path = args.checkpoint
+    artifacts: dict[str, str] = {}
     try:
-        state, result = resume_experiment(
-            args.checkpoint,
-            options=ExecutionOptions(
-                checkpoint_every=args.checkpoint_every,
-                checkpoint_path=checkpoint_path,
-            ),
-        )
+        state = load_checkpoint(args.checkpoint)
+        spec_dict = state.meta.get("spec")
+        if spec_dict is not None:
+            spec = ScenarioSpec.from_dict(spec_dict)
+            point = run_scenario(
+                replace(spec, checkpoint_every=args.checkpoint_every),
+                state.meta.get("overrides"),
+                options=ExecutionOptions(resume_from=state, checkpoint_path=checkpoint_path),
+            )
+            summary = point.summary()
+            artifacts = point.artifacts
+        else:
+            # A checkpoint taken outside the scenario engine has no spec to
+            # rebuild the unified schema from; print the core result fields.
+            _, result = resume_experiment(
+                state,
+                options=ExecutionOptions(
+                    checkpoint_every=args.checkpoint_every,
+                    checkpoint_path=checkpoint_path,
+                ),
+            )
+            summary = {
+                "protocol": result.protocol,
+                "num_nodes": result.num_nodes,
+                "duration": result.duration,
+                "mean_throughput": result.mean_throughput,
+                "delivered_epochs": min(result.delivered_epochs, default=0),
+                "events_processed": result.events_processed,
+            }
     except (SnapshotError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    spec_dict = state.meta.get("spec") if isinstance(state.meta, dict) else None
-    if spec_dict is not None:
-        spec = ScenarioSpec.from_dict(spec_dict)
-        point = ScenarioResult(
-            spec=spec,
-            overrides=dict(state.meta.get("overrides") or {}),
-            result=result,
-        )
-        summary = point.summary()
-    else:
-        # A checkpoint taken outside the scenario engine has no spec to
-        # rebuild the unified schema from; print the core result fields.
-        summary = {
-            "protocol": result.protocol,
-            "num_nodes": result.num_nodes,
-            "duration": result.duration,
-            "mean_throughput": result.mean_throughput,
-            "delivered_epochs": min(result.delivered_epochs, default=0),
-            "events_processed": result.events_processed,
-        }
     if args.json:
         print(json.dumps(summary, indent=2))
     else:
         for key, value in summary.items():
             print(f"{key}: {value}")
+        for name, path in artifacts.items():
+            print(f"{name} written to {path}")
     return 0
 
 

@@ -25,8 +25,12 @@ from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from repro.common.errors import ConfigurationError, SnapshotError
-from repro.experiments.options import UNSET, ExecutionOptions, merge_deprecated_kwargs
-from repro.experiments.runner import ExperimentResult, run_experiment
+from repro.experiments.options import ExecutionOptions
+from repro.experiments.runner import (
+    ExperimentResult,
+    build_experiment,
+    run_experiment,
+)
 from repro.experiments.scenario import (
     Grid,
     ScenarioSpec,
@@ -34,6 +38,7 @@ from repro.experiments.scenario import (
     describe_overrides,
     expand_grid,
 )
+from repro.sim.network import NetworkConfig
 from repro.sim.snapshot import (
     KIND_SWEEP_POINT,
     SimulationState,
@@ -41,7 +46,7 @@ from repro.sim.snapshot import (
     read_snapshot_file,
     write_snapshot_file,
 )
-from repro.trace.recorder import TraceRecorder
+from repro.trace.recorder import JsonlSink, TraceRecorder
 from repro.trace.spans import SpanRecorder
 
 
@@ -55,11 +60,10 @@ class ScenarioResult:
     keys, the unified schema every report and sweep table is built from.
     ``wall_clock_seconds`` is real time, not virtual time, and is therefore
     excluded from :meth:`summary` so summaries are deterministic.
-    ``telemetry_path`` names the JSONL time-series written for this point
-    when the spec opted into telemetry recording (``None`` otherwise); it is
-    likewise excluded from :meth:`summary`, whose bytes are pinned by the
-    golden suite regardless of recording.  ``span_path`` is the same for the
-    causal span log (``spec.spans.enabled``).
+    ``artifacts`` maps each sink the spec enabled (``"telemetry"``,
+    ``"spans"``) to the JSONL file written for this point; it is likewise
+    excluded from :meth:`summary`, whose bytes are pinned by the golden
+    suite regardless of recording.
     """
 
     spec: ScenarioSpec
@@ -67,8 +71,7 @@ class ScenarioResult:
     result: ExperimentResult | None = None
     extra: dict[str, Any] = field(default_factory=dict)
     wall_clock_seconds: float = 0.0
-    telemetry_path: str | None = None
-    span_path: str | None = None
+    artifacts: dict[str, str] = field(default_factory=dict)
 
     @property
     def label(self) -> str:
@@ -121,78 +124,158 @@ class ScenarioResult:
         return base
 
 
-def telemetry_filename(spec: ScenarioSpec, overrides: Mapping[str, Any] | None) -> str:
-    """The per-point JSONL file name: scenario, grid label and seed.
+def point_filename(
+    spec: ScenarioSpec, overrides: Mapping[str, Any] | None, suffix: str
+) -> str:
+    """A per-point file name: scenario, grid label, seed, then ``suffix``.
 
     Every component a sweep varies is either in the label (grid overrides)
-    or the seed, so parallel points never collide on a file.
+    or the seed, so parallel points never collide on a file.  Sinks use
+    their ``suffix`` (``.jsonl``, ``.spans.jsonl``), checkpoints ``.ckpt``.
     """
     label = describe_overrides(dict(overrides or {}))
     safe_label = re.sub(r"[^A-Za-z0-9._-]+", "-", label).strip("-") or "base"
-    return f"{spec.name}-{safe_label}-seed{spec.seed}.jsonl"
-
-
-def span_filename(spec: ScenarioSpec, overrides: Mapping[str, Any] | None) -> str:
-    """The per-point span-log file name, mirroring :func:`telemetry_filename`."""
-    label = describe_overrides(dict(overrides or {}))
-    safe_label = re.sub(r"[^A-Za-z0-9._-]+", "-", label).strip("-") or "base"
-    return f"{spec.name}-{safe_label}-seed{spec.seed}.spans.jsonl"
-
-
-def checkpoint_filename(spec: ScenarioSpec, overrides: Mapping[str, Any] | None) -> str:
-    """The per-point checkpoint file name, mirroring :func:`telemetry_filename`."""
-    label = describe_overrides(dict(overrides or {}))
-    safe_label = re.sub(r"[^A-Za-z0-9._-]+", "-", label).strip("-") or "base"
-    return f"{spec.name}-{safe_label}-seed{spec.seed}.ckpt"
+    return f"{spec.name}-{safe_label}-seed{spec.seed}{suffix}"
 
 
 #: Default directory for spec-driven checkpoints when no explicit path is given.
 DEFAULT_CHECKPOINT_DIR = "checkpoints"
 
 
+def new_sinks(spec: ScenarioSpec) -> tuple[JsonlSink, ...]:
+    """Fresh sinks for every observer ``spec`` enables, in attach order.
+
+    Telemetry attaches first: its ``t = 0`` sample is scheduled at attach
+    time, so the order fixes sequence numbers.
+    """
+    sinks: list[JsonlSink] = []
+    if spec.telemetry.enabled:
+        sinks.append(TraceRecorder(interval=spec.telemetry.interval))
+    if spec.spans.enabled:
+        sinks.append(SpanRecorder())
+    return tuple(sinks)
+
+
+def sink_path(spec: ScenarioSpec, overrides: Mapping[str, Any] | None, sink: JsonlSink) -> Path:
+    """Where ``sink``'s file for one point lives: its spec section's ``out_dir``."""
+    out_dir = getattr(spec, sink.name).out_dir
+    return Path(out_dir) / point_filename(spec, overrides, sink.suffix)
+
+
+def write_sinks(
+    state: SimulationState, targets: Mapping[str, str | Path], *, final: bool
+) -> dict[str, str]:
+    """Finish (when ``final``), write and clear every sink ``state`` carries.
+
+    ``targets`` maps each sink name to its file.  Clearing makes the next
+    write hold only rows recorded after this one, so per-window segments
+    concatenate to the monolithic file.  Returns name -> written path.
+    """
+    written: dict[str, str] = {}
+    for sink in state.sinks:
+        if final:
+            sink.finish(state)
+        written[sink.name] = str(sink.write_jsonl(targets[sink.name]))
+        sink.rows.clear()
+    return written
+
+
+def _require_sinks(state: SimulationState, spec: ScenarioSpec) -> None:
+    """Refuse to resume ``state`` under ``spec`` unless their sinks match exactly.
+
+    A checkpoint only carries the sinks attached when its run was built; a
+    resumed run cannot record the rows written before the checkpoint, and
+    a carried sink the spec does not enable would write a file nobody asked
+    for.  A windowed hand-off checkpoint (``meta["window"]``) carries only
+    the rows of its last window, so it cannot rebuild any sink file.
+    """
+    carried = [sink.name for sink in state.sinks]
+    enabled = [sink.name for sink in new_sinks(spec)]
+    missing = [name for name in enabled if name not in carried]
+    if missing:
+        raise ConfigurationError(
+            f"spec {spec.name!r} enables {', '.join(missing)} but the checkpoint "
+            "carries no such sink; rerun from the start to record it"
+        )
+    extra = [name for name in carried if name not in enabled]
+    if extra:
+        raise ConfigurationError(
+            f"the checkpoint carries {', '.join(extra)} but spec {spec.name!r} "
+            "does not enable it"
+        )
+    if carried and state.meta.get("window") is not None:
+        raise ConfigurationError(
+            f"the checkpoint is a windowed hand-off (window {state.meta['window']}); "
+            f"its {', '.join(carried)} rows from earlier windows are gone, so "
+            "resuming it cannot rewrite the point's files"
+        )
+
+
+def experiment_args(spec: ScenarioSpec) -> dict[str, Any]:
+    """The spec's keyword arguments for :func:`build_experiment` / :func:`run_experiment`."""
+    return {
+        "workload": spec.workload,
+        "node_config": spec.node,
+        "params": spec.params(),
+        "seed": spec.seed,
+        "warmup": spec.effective_warmup(),
+        "adversary": spec.adversary,
+        "max_epochs": spec.max_epochs,
+    }
+
+
+def build_point(
+    spec: ScenarioSpec,
+    overrides: Mapping[str, Any] | None,
+    network_config: NetworkConfig | None = None,
+) -> SimulationState:
+    """Build one scenario point with the sinks its spec enables attached."""
+    return build_experiment(
+        spec.protocol,
+        network_config or build_network_config(spec),
+        spec.duration,
+        **experiment_args(spec),
+        meta={"spec": spec.to_dict(), "overrides": dict(overrides or {})},
+        sinks=new_sinks(spec),
+    )
+
+
 def run_scenario(
     spec: ScenarioSpec,
     overrides: Mapping[str, Any] | None = None,
-    checkpoint_path: str | Path | None = UNSET,
-    resume_from: "SimulationState | str | Path | None" = UNSET,
     *,
     options: ExecutionOptions | None = None,
 ) -> ScenarioResult:
     """Run one scenario point and wrap the outcome in a :class:`ScenarioResult`.
 
-    When the spec opts into telemetry (``spec.telemetry.enabled``), a
-    :class:`~repro.trace.recorder.TraceRecorder` rides along and its rows
-    are written to ``spec.telemetry.out_dir`` under a per-point file name
-    (:func:`telemetry_filename`); the summary itself is unchanged.
+    The sinks the spec enables (``spec.telemetry``, ``spec.spans``) ride
+    along; after the run each is finished and written under its section's
+    ``out_dir`` with a per-point name (:func:`point_filename`), and
+    ``ScenarioResult.artifacts`` maps the sink name to the file.  The
+    summary itself is unchanged.
 
     When the spec opts into checkpointing (``spec.checkpoint_every``), a
-    ``repro-ckpt-v1`` file is written every that many virtual seconds to
+    ``repro-ckpt-v2`` file is written every that many virtual seconds to
     ``options.checkpoint_path`` (default: :data:`DEFAULT_CHECKPOINT_DIR`
-    under a per-point name from :func:`checkpoint_filename`).
-    ``options.resume_from`` continues a previous checkpoint instead of
-    building a fresh run; the checkpoint must belong to this exact scenario
-    (fingerprint-checked).  The loose ``checkpoint_path`` / ``resume_from``
-    keywords are deprecated shims for those fields.  Windowed execution
-    (``options.windows``) is a sweep-level strategy — use
-    :func:`sweep` for it, not this single-point entry.
+    under a per-point ``.ckpt`` name).  ``options.resume_from`` continues a
+    previous checkpoint instead of building a fresh run; the checkpoint must
+    belong to this exact scenario (fingerprint-checked) and carry exactly
+    the sinks the spec enables (:class:`ConfigurationError` otherwise).
+    ``options.profiler`` is installed for the run.  Windowed execution
+    (``options.windows``) is a sweep-level strategy — use :func:`sweep` for
+    it, not this single-point entry.
     """
     started = time.perf_counter()
-    opts = merge_deprecated_kwargs(
-        options,
-        "run_scenario",
-        checkpoint_path=checkpoint_path,
-        resume_from=resume_from,
-    )
+    opts = options or ExecutionOptions()
     if opts.windows is not None:
         raise ConfigurationError(
             "run_scenario executes one point monolithically; windowed "
             "execution is a sweep-level strategy (sweep(options="
             "ExecutionOptions(windows=...)))"
         )
-    checkpoint_path = opts.checkpoint_path
-    resume_from = opts.resume_from
+    overrides = dict(overrides or {})
     if spec.kind == "vid-cost":
-        if resume_from is not None:
+        if opts.resume_from is not None:
             raise SnapshotError(
                 "vid-cost scenarios are analytic and cannot be checkpointed "
                 "or resumed"
@@ -200,68 +283,46 @@ def run_scenario(
         extra = _run_vid_cost(spec)
         return ScenarioResult(
             spec=spec,
-            overrides=dict(overrides or {}),
+            overrides=overrides,
             extra=extra,
             wall_clock_seconds=time.perf_counter() - started,
         )
-    state: SimulationState | None = None
-    if resume_from is not None:
-        # Load here (rather than inside run_experiment) so a restored
-        # recorder's rows can still be written out below.  The fingerprint
-        # check happens in run_experiment against this spec's parameters.
-        if isinstance(resume_from, SimulationState):
-            state = resume_from
-        else:
-            state = load_checkpoint(resume_from)
-        recorder = state.recorder
-        spans = getattr(state, "spans", None)
+    network_config = build_network_config(spec)
+    if opts.resume_from is None:
+        state = build_point(spec, overrides, network_config)
     else:
-        recorder = (
-            TraceRecorder(interval=spec.telemetry.interval)
-            if spec.telemetry.enabled
-            else None
-        )
-        spans = SpanRecorder() if spec.spans.enabled else None
+        # Load here (rather than inside run_experiment) so the restored
+        # sinks can be written below; run_experiment checks the fingerprint.
+        if isinstance(opts.resume_from, SimulationState):
+            state = opts.resume_from
+        else:
+            state = load_checkpoint(opts.resume_from)
+        _require_sinks(state, spec)
+    checkpoint_path = opts.checkpoint_path
     if spec.checkpoint_every is not None and checkpoint_path is None:
-        checkpoint_path = Path(DEFAULT_CHECKPOINT_DIR) / checkpoint_filename(
-            spec, overrides
+        checkpoint_path = Path(DEFAULT_CHECKPOINT_DIR) / point_filename(
+            spec, overrides, ".ckpt"
         )
     result = run_experiment(
         spec.protocol,
-        build_network_config(spec),
+        network_config,
         spec.duration,
-        workload=spec.workload,
-        node_config=spec.node,
-        params=spec.params(),
-        seed=spec.seed,
-        warmup=spec.effective_warmup(),
-        adversary=spec.adversary,
-        max_epochs=spec.max_epochs,
+        **experiment_args(spec),
         options=ExecutionOptions(
-            recorder=recorder,
-            span_recorder=spans,
             profiler=opts.profiler,
             checkpoint_every=spec.checkpoint_every,
             checkpoint_path=checkpoint_path,
-            checkpoint_meta={"spec": spec.to_dict(), "overrides": dict(overrides or {})},
             resume_from=state,
         ),
     )
-    telemetry_path: str | None = None
-    if recorder is not None and spec.telemetry.enabled:
-        target = Path(spec.telemetry.out_dir) / telemetry_filename(spec, overrides)
-        telemetry_path = str(recorder.write_jsonl(target))
-    span_path: str | None = None
-    if spans is not None and spec.spans.enabled:
-        target = Path(spec.spans.out_dir) / span_filename(spec, overrides)
-        span_path = str(spans.write_jsonl(target))
+    targets = {sink.name: sink_path(spec, overrides, sink) for sink in state.sinks}
+    artifacts = write_sinks(state, targets, final=True)
     return ScenarioResult(
         spec=spec,
-        overrides=dict(overrides or {}),
+        overrides=overrides,
         result=result,
         wall_clock_seconds=time.perf_counter() - started,
-        telemetry_path=telemetry_path,
-        span_path=span_path,
+        artifacts=artifacts,
     )
 
 
@@ -437,8 +498,6 @@ def default_workers(num_points: int) -> int:
 
 def run_points(
     points: list[tuple[dict[str, Any], ScenarioSpec]],
-    parallel: bool = UNSET,
-    max_workers: int | None = UNSET,
     *,
     options: ExecutionOptions | None = None,
 ) -> tuple[list[ScenarioResult], int]:
@@ -447,16 +506,9 @@ def run_points(
     Returns the results in point order plus the worker count used.  Each
     point is a pure function of its spec (all randomness is seeded from it),
     so the parallel path produces summaries identical to the serial one.
-    ``options`` supplies ``parallel`` / ``workers``; the loose keywords of
-    those names (``max_workers`` for ``workers``) are deprecated shims.
+    ``options`` supplies ``parallel`` / ``workers``.
     """
-    opts = merge_deprecated_kwargs(
-        options,
-        "run_points",
-        aliases={"max_workers": "workers"},
-        parallel=parallel,
-        max_workers=max_workers,
-    )
+    opts = options or ExecutionOptions()
     workers = opts.workers if opts.workers is not None else default_workers(len(points))
     if not opts.parallel or workers <= 1 or len(points) <= 1:
         return [_run_point(point) for point in points], 1
@@ -468,9 +520,6 @@ def run_points(
 def sweep(
     base: ScenarioSpec,
     grid: Grid | None = None,
-    parallel: bool = UNSET,
-    max_workers: int | None = UNSET,
-    resume_dir: str | Path | None = UNSET,
     *,
     options: ExecutionOptions | None = None,
 ) -> SweepResult:
@@ -491,7 +540,7 @@ def sweep(
               at the machine's CPU count).
             * ``resume_dir`` — crash-resume journal directory.  Each
               completed point writes its result there atomically
-              (``point-NNNN.ckpt``, ``repro-ckpt-v1`` format); rerunning an
+              (``point-NNNN.ckpt``, ``repro-ckpt-v2`` format); rerunning an
               interrupted sweep with the same ``resume_dir`` re-executes
               only the unfinished points and produces a result identical to
               an uninterrupted run.  Stale journals (different base spec,
@@ -501,18 +550,8 @@ def sweep(
               :mod:`repro.experiments.windowed` (pipelined across points,
               with warmup-prefix sharing); summaries are byte-identical to
               monolithic points.
-        parallel / max_workers / resume_dir: deprecated shims for the
-            options fields of (almost) the same names (``max_workers`` maps
-            to ``workers``).
     """
-    opts = merge_deprecated_kwargs(
-        options,
-        "sweep",
-        aliases={"max_workers": "workers"},
-        parallel=parallel,
-        max_workers=max_workers,
-        resume_dir=resume_dir,
-    )
+    opts = options or ExecutionOptions()
     if opts.windows is not None:
         # Imported here: the windowed engine builds on this module.
         from repro.experiments.windowed import run_windowed_sweep

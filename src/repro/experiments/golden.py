@@ -248,7 +248,7 @@ def record_envelope_rows(name: str) -> list[dict[str, Any]]:
             ),
         )
         result = run_scenario(spec)
-        return read_jsonl(Path(result.telemetry_path))
+        return read_jsonl(Path(result.artifacts["telemetry"]))
 
 
 def envelope_payload(name: str) -> dict[str, Any]:

@@ -19,13 +19,13 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 from repro.adversary.registry import AdversarySpec, get_adversary
 from repro.ba.coin import CommonCoin
 from repro.common.errors import SnapshotError
 from repro.common.params import ProtocolParams
-from repro.experiments.options import UNSET, ExecutionOptions, merge_deprecated_kwargs
+from repro.experiments.options import ExecutionOptions
 from repro.core.config import NodeConfig
 from repro.core.node import DLCoupledNode, DispersedLedgerNode
 from repro.core.node_base import BFTNodeBase
@@ -45,9 +45,6 @@ from repro.workload.txgen import (
     bursty_rate_profile,
     diurnal_rate_profile,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.trace.recorder import TraceRecorder
 
 #: The protocols the paper's evaluation compares (S6), keyed by the labels
 #: used throughout the experiments and benchmark output.  Extend with
@@ -338,7 +335,7 @@ def _experiment_fingerprint(
 ) -> str:
     """A short deterministic digest of *what* is being simulated.
 
-    Stored in every ``repro-ckpt-v1`` header and recomputed on resume, so a
+    Stored in every ``repro-ckpt-v2`` header and recomputed on resume, so a
     checkpoint taken by one scenario cannot silently continue another.  Trace
     objects are summarised by class name (their content is not JSON-stable);
     everything else is the exact argument value.
@@ -382,11 +379,9 @@ def build_experiment(
     seed: int = 0,
     warmup: float = 0.0,
     adversary: AdversarySpec | None = None,
-    recorder: "TraceRecorder | None" = None,
-    span_recorder=None,
-    profiler=None,
     max_epochs: int | None = None,
     meta: dict | None = None,
+    sinks: Sequence = (),
 ) -> SimulationState:
     """Build phase: construct the full simulation graph, ready to run.
 
@@ -394,8 +389,8 @@ def build_experiment(
     :class:`~repro.sim.snapshot.SimulationState`, so a fresh build and a
     restored checkpoint drive the exact same run/summarise phases.
     Construction order (nodes, adversary replacements, generators,
-    ``network.start()``, recorder attach) is part of the determinism
-    contract: it fixes the initial sequence numbers.
+    ``network.start()``, then each of ``sinks`` attached in order) is part
+    of the determinism contract: it fixes the initial sequence numbers.
     """
     workload = workload or WorkloadSpec()
     node_config = node_config or NodeConfig()
@@ -436,13 +431,7 @@ def build_experiment(
         sim.schedule(0.0, generator.start)
 
     network.start()
-    if recorder is not None:
-        recorder.attach(sim, network, nodes, collector)
-    if span_recorder is not None:
-        span_recorder.attach(sim, network, nodes)
-    if profiler is not None:
-        sim.profiler = profiler
-    return SimulationState(
+    state = SimulationState(
         fingerprint=_experiment_fingerprint(
             protocol,
             network_config,
@@ -464,12 +453,14 @@ def build_experiment(
         collector=collector,
         nodes=nodes,
         generators=generators,
-        recorder=recorder,
         adversary=adversary,
         placement=placement,
-        spans=span_recorder,
+        sinks=tuple(sinks),
         meta=dict(meta or {}),
     )
+    for sink in state.sinks:
+        sink.attach(state)
+    return state
 
 
 def _finish_experiment(
@@ -483,11 +474,6 @@ def _finish_experiment(
             raise ValueError("checkpoint_every requires checkpoint_path")
         CheckpointTimer(state, checkpoint_path, checkpoint_every).arm()
     state.sim.run(until=state.duration)
-    if state.recorder is not None:
-        state.recorder.finish(state.nodes, adversarial=state.placement)
-    spans = getattr(state, "spans", None)
-    if spans is not None:
-        spans.finish()
     return summarise_experiment(state)
 
 
@@ -527,8 +513,6 @@ def summarise_experiment(state: SimulationState) -> ExperimentResult:
 
 def resume_experiment(
     source: SimulationState | str | Path,
-    checkpoint_every: float | None = UNSET,
-    checkpoint_path: str | Path | None = UNSET,
     *,
     options: ExecutionOptions | None = None,
 ) -> tuple[SimulationState, ExperimentResult]:
@@ -538,16 +522,11 @@ def resume_experiment(
     :class:`SimulationState`).  The restored state runs to its recorded
     ``duration`` and is summarised exactly as an uninterrupted run would be.
     Set ``options.checkpoint_every`` / ``options.checkpoint_path`` to keep
-    checkpointing while the resumed run executes (the loose keywords of the
-    same names are deprecated shims).  A restored state is consumed by
-    running it; load the file again for another continuation.
+    checkpointing while the resumed run executes.  A restored state is
+    consumed by running it; load the file again for another continuation.
+    The state's sinks are left unfinished for the caller to write.
     """
-    opts = merge_deprecated_kwargs(
-        options,
-        "resume_experiment",
-        checkpoint_every=checkpoint_every,
-        checkpoint_path=checkpoint_path,
-    )
+    opts = options or ExecutionOptions()
     if isinstance(source, SimulationState):
         state = source
     else:
@@ -565,21 +544,21 @@ def run_experiment(
     seed: int = 0,
     warmup: float = 0.0,
     adversary: AdversarySpec | None = None,
-    recorder: "TraceRecorder | None" = UNSET,
     max_epochs: int | None = None,
-    checkpoint_every: float | None = UNSET,
-    checkpoint_path: str | Path | None = UNSET,
-    checkpoint_meta: dict | None = UNSET,
-    resume_from: SimulationState | str | Path | None = UNSET,
     *,
     options: ExecutionOptions | None = None,
 ) -> ExperimentResult:
     """Run one protocol on one simulated network and summarise the outcome.
 
-    Execution strategy (recorder attachment, periodic checkpointing, resume)
-    comes in through ``options``; the loose ``recorder`` /
-    ``checkpoint_every`` / ``checkpoint_path`` / ``checkpoint_meta`` /
-    ``resume_from`` keywords are deprecated shims for it.
+    Execution strategy (profiling, periodic checkpointing, resume) comes in
+    through ``options``: ``checkpoint_every`` writes a ``repro-ckpt-v2``
+    checkpoint to ``checkpoint_path`` every that many virtual seconds
+    (uncounted internal callbacks, so summaries are byte-identical with it
+    on or off); ``resume_from`` continues a checkpoint — a file path or an
+    already-loaded :class:`SimulationState` — instead of building a fresh
+    simulation, after checking its fingerprint against the other arguments
+    (:class:`SnapshotError` for a foreign-scenario restore); ``profiler`` is
+    installed on either path.
 
     Args:
         protocol: a registered protocol name (``"dl"``, ``"dl-coupled"``,
@@ -603,40 +582,12 @@ def run_experiment(
             client workload and its epoch frontiers feed the result.
             Per-node metrics (zero throughput for silent nodes) stay in the
             result so summaries remain index-aligned with the cluster.
-        recorder: optional :class:`~repro.trace.recorder.TraceRecorder` that
-            samples per-node link and protocol state while the run executes
-            and derives per-epoch rows afterwards.  Recording is
-            behaviour-neutral: the sampling callbacks are uncounted internal
-            events that only read state, so the returned result is identical
-            with or without it.
         max_epochs: stop proposing new blocks after this many epochs
             (``None`` = propose for the whole run).  Bounded-work runs (the
             million-transaction benchmarks) use this to commit a known
             transaction count and then let the run drain.
-        checkpoint_every: write a ``repro-ckpt-v1`` checkpoint to
-            ``checkpoint_path`` every this many virtual seconds.
-            Checkpointing rides on uncounted internal callbacks, so event
-            counts and summaries are byte-identical with it on or off.
-        checkpoint_path: where the (single, overwritten) checkpoint file
-            lives; required when ``checkpoint_every`` is set.
-        checkpoint_meta: opaque scenario metadata stored inside the
-            checkpoint (the scenario engine passes its spec here so the
-            ``resume`` CLI can rebuild a full summary).
-        resume_from: continue from a checkpoint — a file path or an
-            already-loaded :class:`SimulationState` — instead of building a
-            fresh simulation.  The other arguments must describe the *same*
-            scenario: the stored fingerprint is checked and a
-            :class:`SnapshotError` is raised for a foreign-scenario restore.
     """
-    opts = merge_deprecated_kwargs(
-        options,
-        "run_experiment",
-        recorder=recorder,
-        checkpoint_every=checkpoint_every,
-        checkpoint_path=checkpoint_path,
-        checkpoint_meta=checkpoint_meta,
-        resume_from=resume_from,
-    )
+    opts = options or ExecutionOptions()
     if opts.resume_from is not None:
         workload = workload or WorkloadSpec()
         node_config = node_config or NodeConfig()
@@ -663,8 +614,6 @@ def run_experiment(
                 f"this scenario ({expected!r}); refusing a foreign-scenario "
                 "restore"
             )
-        if opts.profiler is not None:
-            state.sim.profiler = opts.profiler
     else:
         state = build_experiment(
             protocol,
@@ -676,12 +625,10 @@ def run_experiment(
             seed=seed,
             warmup=warmup,
             adversary=adversary,
-            recorder=opts.recorder,
-            span_recorder=opts.span_recorder,
-            profiler=opts.profiler,
             max_epochs=max_epochs,
-            meta=opts.checkpoint_meta,
         )
+    if opts.profiler is not None:
+        state.sim.profiler = opts.profiler
     return _finish_experiment(state, opts.checkpoint_every, opts.checkpoint_path)
 
 

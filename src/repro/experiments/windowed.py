@@ -2,11 +2,11 @@
 
 A monolithic sweep point simulates its whole horizon ``[0, T)`` in one
 process.  This engine splits the horizon into ``W`` windows and executes
-them via ``repro-ckpt-v1`` checkpoint hand-off: a window can restore the
+them via ``repro-ckpt-v2`` checkpoint hand-off: a window can restore the
 state another process left at the previous boundary and continue.  Because
 restoring a checkpoint and continuing is bit-identical to never having
 stopped (the PR-7 snapshot contract), the chained windows produce exactly
-the bytes of the monolithic run — same summaries, same telemetry rows —
+the bytes of the monolithic run — same summaries, same sink rows —
 while unlocking two sources of real parallelism on a sweep:
 
 * **Pipelining** — window chains of *different* points are independent
@@ -43,13 +43,14 @@ at every boundary disappears.  A leader's chain is still split right after
 its last forked boundary, so followers start the moment the shared prefix
 is on disk rather than when the leader finishes.
 
-Telemetry stitching: the recorder rides inside the live state.  At each
-window boundary the rows accumulated during that window are written to a
-per-window JSONL segment and cleared; the final window appends the post-run
-rows (:meth:`TraceRecorder.finish`) before writing its own segment.
+Sink stitching: the sinks (telemetry, spans) ride inside the live state.
+At each window boundary every sink writes the rows accumulated during that
+window to a per-window JSONL segment and clears them; the final window
+finishes the sinks (post-run rows, dropped open spans) before writing its
+own segments (:func:`~repro.experiments.engine.write_sinks`).
 Byte-concatenating a point's segments in window order (a forked point
 reuses its leader's segments for every shared window) reproduces the
-monolithic JSONL file byte for byte.
+monolithic file byte for byte.
 
 Entry point: :func:`run_windowed_sweep`, reached through
 ``sweep(..., options=ExecutionOptions(windows=W))`` or the CLI's
@@ -72,16 +73,15 @@ from repro.common.errors import ConfigurationError
 from repro.experiments.engine import (
     ScenarioResult,
     SweepResult,
+    build_point,
     default_workers,
-    span_filename,
-    telemetry_filename,
+    experiment_args,
+    new_sinks,
+    sink_path,
+    write_sinks,
 )
 from repro.experiments.options import ExecutionOptions
-from repro.experiments.runner import (
-    _experiment_fingerprint,
-    build_experiment,
-    summarise_experiment,
-)
+from repro.experiments.runner import _experiment_fingerprint, summarise_experiment
 from repro.experiments.scenario import (
     Grid,
     ScenarioSpec,
@@ -89,8 +89,6 @@ from repro.experiments.scenario import (
     expand_grid,
 )
 from repro.sim.snapshot import SimulationState, load_checkpoint, save_checkpoint
-from repro.trace.recorder import TraceRecorder
-from repro.trace.spans import SpanRecorder
 
 __all__ = [
     "plan_windowed_points",
@@ -233,12 +231,9 @@ class _SegmentTask:
     #: Hand-off checkpoint to write after ``end`` (``None`` for the final
     #: segment, whose last window ends the run).
     out_checkpoint: str | None
-    #: Per-window telemetry segment paths, parallel to ``start..end``
-    #: (``None`` when telemetry is off).
-    segments: tuple[str, ...] | None
-    #: Per-window span-log segment paths, parallel to ``start..end``
-    #: (``None`` when span recording is off).
-    span_segments: tuple[str, ...] | None
+    #: Per-window segment paths of every sink, keyed by sink name and
+    #: parallel to ``start..end`` (empty when the spec enables no sink).
+    segments: dict[str, tuple[str, ...]]
 
 
 def _refit_forked_state(
@@ -256,16 +251,7 @@ def _refit_forked_state(
     for generator in state.generators:
         generator._stop_at = spec.workload.stop_after
     state.fingerprint = _experiment_fingerprint(
-        spec.protocol,
-        build_network_config(spec),
-        spec.duration,
-        spec.workload,
-        spec.node,
-        spec.params(),
-        spec.seed,
-        spec.effective_warmup(),
-        spec.adversary,
-        spec.max_epochs,
+        spec.protocol, build_network_config(spec), spec.duration, **experiment_args(spec)
     )
     state.meta = {"spec": spec.to_dict(), "overrides": dict(overrides)}
 
@@ -273,57 +259,26 @@ def _refit_forked_state(
 def _execute_segment(task: _SegmentTask) -> dict[str, Any]:
     """Run one chain segment; runs in a worker process (everything crosses as pickles)."""
     started = time.perf_counter()
-    spec = task.spec
     if task.source is None:
-        recorder = (
-            TraceRecorder(interval=spec.telemetry.interval)
-            if spec.telemetry.enabled
-            else None
-        )
-        span_recorder = SpanRecorder() if spec.spans.enabled else None
-        state = build_experiment(
-            spec.protocol,
-            build_network_config(spec),
-            spec.duration,
-            workload=spec.workload,
-            node_config=spec.node,
-            params=spec.params(),
-            seed=spec.seed,
-            warmup=spec.effective_warmup(),
-            adversary=spec.adversary,
-            recorder=recorder,
-            span_recorder=span_recorder,
-            max_epochs=spec.max_epochs,
-            meta={"spec": spec.to_dict(), "overrides": dict(task.overrides)},
-        )
+        state = build_point(task.spec, task.overrides)
     else:
         state = load_checkpoint(task.source)
         if task.fork:
-            _refit_forked_state(state, spec, task.overrides)
+            _refit_forked_state(state, task.spec, task.overrides)
     result = None
     last = len(task.boundaries) - 1
-    spans = getattr(state, "spans", None)
     for window in range(task.start, task.end + 1):
         state.sim.run(until=task.boundaries[window])
-        if window == last and state.recorder is not None:
-            # Post-run rows (commit totals, adversary deliveries) belong to
-            # the final window's segment.
-            state.recorder.finish(state.nodes, adversarial=state.placement)
-        if task.segments is not None:
-            state.recorder.write_jsonl(task.segments[window - task.start])
-            # The next window must record only its own rows; on hand-off the
-            # cleared list rides forward inside the checkpoint.
-            state.recorder.rows.clear()
-        if window == last and spans is not None:
-            # Drop aborted (never-closed) spans before the final segment,
-            # exactly as the monolithic finish does.
-            spans.finish()
-        if task.span_segments is not None:
-            spans.write_jsonl(task.span_segments[window - task.start])
-            spans.rows.clear()
+        # Post-run rows belong to the final window's segment; on hand-off
+        # the cleared row lists ride forward inside the checkpoint.
+        targets = {name: paths[window - task.start] for name, paths in task.segments.items()}
+        write_sinks(state, targets, final=window == last)
     if task.end == last:
         result = summarise_experiment(state)
     else:
+        # Marks a hand-off: its sinks hold only this window's cleared rows,
+        # so resuming it cannot rewrite the point's files (engine refuses).
+        state.meta["window"] = task.end
         save_checkpoint(task.out_checkpoint, state)
     return {
         "point": task.point,
@@ -346,13 +301,7 @@ def _build_tasks(
     """
 
     def ckpt(index: int, window: int) -> str:
-        return str(work_dir / f"point{index:04d}-w{window}.ckpt")
-
-    def seg(index: int, window: int) -> str:
-        return str(work_dir / f"point{index:04d}-w{window}.jsonl")
-
-    def span_seg(index: int, window: int) -> str:
-        return str(work_dir / f"point{index:04d}-w{window}.spans.jsonl")
+        return str(_window_file(work_dir, index, window, ".ckpt"))
 
     # Windows whose end-of-window checkpoint some follower forks from.
     demanded: dict[int, set[int]] = {}
@@ -366,8 +315,7 @@ def _build_tasks(
     producer: dict[tuple[int, int], tuple[int, int]] = {}
     for plan in plans:
         last = len(plan.boundaries) - 1
-        telemetry = plan.spec.telemetry.enabled
-        spans_on = plan.spec.spans.enabled
+        sinks = new_sinks(plan.spec)
         cuts = sorted(w for w in demanded.get(plan.index, ()) if w < last)
         starts = [plan.first_window] + [w + 1 for w in cuts if w + 1 <= last]
         for start, nxt in zip(starts, starts[1:] + [last + 1]):
@@ -390,16 +338,13 @@ def _build_tasks(
                 source=source,
                 fork=fork,
                 out_checkpoint=ckpt(plan.index, end) if end < last else None,
-                segments=(
-                    tuple(seg(plan.index, w) for w in range(start, end + 1))
-                    if telemetry
-                    else None
-                ),
-                span_segments=(
-                    tuple(span_seg(plan.index, w) for w in range(start, end + 1))
-                    if spans_on
-                    else None
-                ),
+                segments={
+                    sink.name: tuple(
+                        str(_window_file(work_dir, plan.index, w, sink.suffix))
+                        for w in range(start, end + 1)
+                    )
+                    for sink in sinks
+                },
             )
             if end < last:
                 producer[(plan.index, end)] = key
@@ -457,32 +402,23 @@ def _execute_tasks(
     return outcomes
 
 
-def _stitch_telemetry(plan: PointPlan, work_dir: Path) -> str | None:
-    """Byte-concatenate a point's window segments into its monolithic JSONL path."""
-    if not plan.spec.telemetry.enabled:
-        return None
-    target = Path(plan.spec.telemetry.out_dir) / telemetry_filename(
-        plan.spec, plan.overrides
-    )
-    target.parent.mkdir(parents=True, exist_ok=True)
-    with target.open("wb") as out:
-        for window in range(len(plan.boundaries)):
-            owner = plan.leader if window < plan.fork_window else plan.index
-            out.write((work_dir / f"point{owner:04d}-w{window}.jsonl").read_bytes())
-    return str(target)
+def _window_file(work_dir: Path, index: int, window: int, suffix: str) -> Path:
+    """A point's per-window hand-off file: checkpoint or sink segment."""
+    return work_dir / f"point{index:04d}-w{window}{suffix}"
 
 
-def _stitch_spans(plan: PointPlan, work_dir: Path) -> str | None:
-    """Byte-concatenate a point's span segments into its monolithic JSONL path."""
-    if not plan.spec.spans.enabled:
-        return None
-    target = Path(plan.spec.spans.out_dir) / span_filename(plan.spec, plan.overrides)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    with target.open("wb") as out:
-        for window in range(len(plan.boundaries)):
-            owner = plan.leader if window < plan.fork_window else plan.index
-            out.write((work_dir / f"point{owner:04d}-w{window}.spans.jsonl").read_bytes())
-    return str(target)
+def _stitch(plan: PointPlan, work_dir: Path) -> dict[str, str]:
+    """Byte-concatenate each sink's window segments into its monolithic file."""
+    artifacts: dict[str, str] = {}
+    for sink in new_sinks(plan.spec):
+        target = sink_path(plan.spec, plan.overrides, sink)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        with target.open("wb") as out:
+            for window in range(len(plan.boundaries)):
+                owner = plan.leader if window < plan.fork_window else plan.index
+                out.write(_window_file(work_dir, owner, window, sink.suffix).read_bytes())
+        artifacts[sink.name] = str(target)
+    return artifacts
 
 
 def run_windowed_sweep(
@@ -491,7 +427,7 @@ def run_windowed_sweep(
     """Expand ``base`` over ``grid`` and run every point through window hand-off.
 
     Dispatched from :func:`repro.experiments.engine.sweep` when
-    ``options.windows`` is set.  Summaries and telemetry files are
+    ``options.windows`` is set.  Summaries and sink files are
     byte-identical to the monolithic sweep; ``SweepResult.windows`` records
     the window count.  Per-point ``wall_clock_seconds`` is the summed wall
     clock of the point's own chain segments (a shared prefix is credited to
@@ -533,8 +469,7 @@ def run_windowed_sweep(
                     overrides=dict(plan.overrides),
                     result=own[-1]["result"],
                     wall_clock_seconds=sum(o["wall_clock_seconds"] for o in own),
-                    telemetry_path=_stitch_telemetry(plan, work_dir),
-                    span_path=_stitch_spans(plan, work_dir),
+                    artifacts=_stitch(plan, work_dir),
                 )
             )
     finally:

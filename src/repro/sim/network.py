@@ -296,7 +296,7 @@ class Network(SnapshotState):
         "_ingress",
         "stats",
         "messages_delivered",
-        "_span_probe",
+        "probe",
     )
 
     def __init__(self, sim: Simulator, config: NetworkConfig):
@@ -355,7 +355,7 @@ class Network(SnapshotState):
         self.messages_delivered = 0
         #: Optional :class:`repro.trace.spans.SpanRecorder`, installed by its
         #: ``attach``; observes sends to open chunk-transfer spans.
-        self._span_probe = None
+        self.probe = None
 
     @property
     def num_nodes(self) -> int:
@@ -436,8 +436,8 @@ class Network(SnapshotState):
         """
         if not 0 <= dst < self._num_nodes:
             raise ConfigurationError(f"destination {dst} out of range")
-        if self._span_probe is not None:
-            self._span_probe.on_message_send(src, dst, msg, self._sim.now)
+        if self.probe is not None:
+            self.probe.on_message_send(src, dst, msg, self._sim.now)
         if src == dst:
             self.stats[src].sent[msg.priority] += msg.wire_size
             transfer = _MessageTransfer(self, src, dst, msg, rank, abort, _DELIVER)

@@ -341,7 +341,7 @@ def _export(args: argparse.Namespace) -> int:
     if args.json:
         payload = {
             "scenario": entry.name,
-            "telemetry_path": result.telemetry_path,
+            "telemetry_path": result.artifacts["telemetry"],
             "summary": result.summary(),
         }
         print(json.dumps(payload, indent=2))
@@ -351,7 +351,7 @@ def _export(args: argparse.Namespace) -> int:
     for key in ("protocol", "num_nodes", "mean_throughput", "delivered_epochs"):
         if key in summary:
             print(f"  {key} = {summary[key]}")
-    print(f"telemetry written to {result.telemetry_path}")
+    print(f"telemetry written to {result.artifacts['telemetry']}")
     return 0
 
 
@@ -560,7 +560,8 @@ def _record_spans(args: argparse.Namespace) -> tuple[str, list]:
             encoding="utf-8",
         )
         print(f"profile written to {target}")
-    return result.span_path, _read_rows(result.span_path)
+    span_path = result.artifacts["spans"]
+    return span_path, _read_rows(span_path)
 
 
 def _spans(args: argparse.Namespace) -> int:

@@ -67,17 +67,47 @@ class TelemetrySpec:
             raise ConfigurationError("telemetry out_dir must be non-empty")
 
 
-class TraceRecorder(SnapshotState):
+class JsonlSink(SnapshotState):
+    """The shape every run observer shares: attach, finish, rows, one writer.
+
+    The engine handles a run's sinks in one loop: :meth:`attach` once the
+    cluster is built, :meth:`finish` after the last window, and
+    :meth:`write_jsonl` then ``rows.clear()`` at every hand-off.  ``name``
+    is the :class:`~repro.experiments.scenario.ScenarioSpec` field that
+    enables the sink (and its key in ``ScenarioResult.artifacts``);
+    ``suffix`` ends its per-point file name.
+    """
+
+    name = ""
+    suffix = ".jsonl"
+    rows: list[dict]
+
+    def attach(self, state) -> None:
+        """Start observing the built :class:`~repro.sim.snapshot.SimulationState`."""
+
+    def finish(self, state) -> None:
+        """End of run: derive or drop whatever only the final state decides."""
+
+    def write_jsonl(self, path: str | Path) -> Path:
+        """Write every recorded row as one JSON object per line."""
+        target = Path(path)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        with target.open("w", encoding="utf-8") as handle:
+            for row in self.rows:
+                handle.write(json.dumps(row, sort_keys=True) + "\n")
+        return target
+
+
+class TraceRecorder(JsonlSink):
     """Samples link and protocol state on a virtual-time grid.
 
-    Usage (the engine does this when ``spec.telemetry.enabled``):
-
-    1. :meth:`attach` after the cluster is built — schedules the first
-       sample at ``t = 0`` through an uncounted internal callback;
-    2. run the simulation;
-    3. :meth:`finish` — derives the post-run rows from the ledgers;
-    4. :meth:`write_jsonl` (or read :attr:`rows` directly).
+    The engine attaches one when ``spec.telemetry.enabled``.
+    :meth:`attach` schedules the first sample at ``t = 0`` through an
+    uncounted internal callback; :meth:`finish` derives the post-run rows
+    from the ledgers.
     """
+
+    name = "telemetry"
 
     _SNAPSHOT_FIELDS = (
         "interval",
@@ -105,12 +135,12 @@ class TraceRecorder(SnapshotState):
         self._busy: list[tuple[float, float]] = []
         self._last_sample_at = 0.0
 
-    def attach(self, sim: Simulator, network: Network, nodes: Sequence, collector) -> None:
-        """Start sampling ``nodes`` on ``sim``'s clock (first sample at now)."""
-        self._sim = sim
-        self._network = network
-        self._nodes = nodes
-        self._collector = collector
+    def attach(self, state) -> None:
+        """Start sampling the state's nodes on its clock (first sample at now)."""
+        sim = self._sim = state.sim
+        network = self._network = state.network
+        self._nodes = state.nodes
+        self._collector = state.collector
         self._busy = [(0.0, 0.0)] * network.num_nodes
         self._last_sample_at = sim.now
         self.rows.append(
@@ -161,10 +191,10 @@ class TraceRecorder(SnapshotState):
         # once the horizon is reached.
         sim.schedule_internal(self.interval, self._tick)
 
-    def finish(self, nodes: Sequence, adversarial: Sequence[int] = ()) -> None:
+    def finish(self, state) -> None:
         """Derive the post-run rows (commits, adversary deliveries) from ledgers."""
-        adversarial_set = set(adversarial)
-        for node in nodes:
+        adversarial_set = set(state.placement)
+        for node in state.nodes:
             ledger = getattr(node, "ledger", None)
             if ledger is None:
                 continue
@@ -208,15 +238,6 @@ class TraceRecorder(SnapshotState):
                 )
                 previous = stats["t"]
 
-    def write_jsonl(self, path: str | Path) -> Path:
-        """Write every recorded row as one JSON object per line."""
-        target = Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        with target.open("w", encoding="utf-8") as handle:
-            for row in self.rows:
-                handle.write(json.dumps(row, sort_keys=True) + "\n")
-        return target
-
 
 def read_jsonl(path: str | Path) -> list[dict]:
     """Load a telemetry JSONL file back into its rows (analysis helper)."""
@@ -229,4 +250,4 @@ def read_jsonl(path: str | Path) -> list[dict]:
     return rows
 
 
-__all__ = ["TelemetrySpec", "TraceRecorder", "read_jsonl"]
+__all__ = ["JsonlSink", "TelemetrySpec", "TraceRecorder", "read_jsonl"]

@@ -32,13 +32,11 @@ or ``chrome://tracing``).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.common.errors import ConfigurationError, TraceError
-from repro.common.snapshot import SnapshotState
+from repro.trace.recorder import JsonlSink
 from repro.vid.messages import ChunkMsg, ReturnChunkMsg
 
 
@@ -59,13 +57,16 @@ class SpanSpec:
             raise ConfigurationError("span out_dir must be a non-empty path")
 
 
-class SpanRecorder(SnapshotState):
+class SpanRecorder(JsonlSink):
     """Collects nested lifecycle spans; behaviour-neutral and hook-driven.
 
     Every hook takes the virtual ``now`` explicitly, so the recorder holds
     no simulator or network references — its whole state is the closed rows
     plus the open-span bookkeeping, all snapshot-declared.
     """
+
+    name = "spans"
+    suffix = ".spans.jsonl"
 
     _SNAPSHOT_FIELDS = (
         "rows",
@@ -97,21 +98,21 @@ class SpanRecorder(SnapshotState):
 
     # -- lifecycle ---------------------------------------------------------
 
-    def attach(self, sim, network, nodes) -> None:
+    def attach(self, state) -> None:
         """Install the recorder as the probe on the network and every node.
 
         Crash-replacement stand-ins aren't protocol nodes and carry no
         probe slot; they simply stay untraced.
         """
         self.rows.append(
-            {"kind": "meta", "t": sim.now, "num_nodes": network.num_nodes}
+            {"kind": "meta", "t": state.sim.now, "num_nodes": state.network.num_nodes}
         )
-        network._span_probe = self
-        for node in nodes:
-            if hasattr(node, "span_probe"):
-                node.span_probe = self
+        state.network.probe = self
+        for node in state.nodes:
+            if hasattr(node, "probe"):
+                node.probe = self
 
-    def finish(self) -> None:
+    def finish(self, state) -> None:
         """End of run: drop still-open spans (aborted work emits no rows)."""
         self._open_commit.clear()
         self._open_dispersal.clear()
@@ -119,16 +120,6 @@ class SpanRecorder(SnapshotState):
         self._open_ba.clear()
         self._open_transfers.clear()
         self._ba_decided.clear()
-
-    def write_jsonl(self, path: str | Path) -> Path:
-        """Write the recorded rows as JSON-lines; returns the path."""
-        target = Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        with target.open("w", encoding="utf-8") as handle:
-            for row in self.rows:
-                handle.write(json.dumps(row, sort_keys=True))
-                handle.write("\n")
-        return target
 
     # -- span bookkeeping --------------------------------------------------
 

@@ -1,16 +1,9 @@
-"""The unified :class:`ExecutionOptions` surface and its deprecated-kwarg shims.
+"""The unified :class:`ExecutionOptions` surface.
 
-Covers the three contracts of :mod:`repro.experiments.options`:
-
-* construction-time validation (frozen dataclass, invalid combinations
-  raise :class:`ConfigurationError` immediately, not mid-sweep);
-* the deprecated keyword shims on ``run_experiment`` / ``run_scenario`` /
-  ``run_points`` / ``sweep`` / ``resume_experiment`` — each emits exactly
-  one :class:`DeprecationWarning` naming the caller and the keywords as
-  spelled, folds them into an equivalent options object, and refuses to
-  mix them with an explicit ``options=``;
-* behavioural equivalence: a run driven by a deprecated keyword is
-  byte-identical to the same run driven by the options object.
+Covers construction-time validation (frozen dataclass, invalid
+combinations raise :class:`ConfigurationError` immediately, not
+mid-sweep, and again on ``dataclasses.replace``) and how the entry points
+consume the options.
 """
 
 from __future__ import annotations
@@ -22,19 +15,10 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.core.config import NodeConfig
-from repro.experiments.engine import run_points, run_scenario, sweep
-from repro.experiments.options import (
-    UNSET,
-    ExecutionOptions,
-    merge_deprecated_kwargs,
-)
+from repro.experiments.engine import run_scenario, sweep
+from repro.experiments.options import ExecutionOptions
 from repro.experiments.runner import WorkloadSpec
-from repro.experiments.scenario import (
-    BandwidthSpec,
-    ScenarioSpec,
-    TopologySpec,
-    expand_grid,
-)
+from repro.experiments.scenario import BandwidthSpec, ScenarioSpec, TopologySpec
 
 MB = 1_000_000.0
 
@@ -81,76 +65,19 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             ExecutionOptions(**kwargs)
 
-    def test_with_updates_revalidates(self):
+    def test_replace_revalidates(self):
         options = ExecutionOptions(windows=3)
-        assert options.with_updates(windows=None).windows is None
+        assert dataclasses.replace(options, windows=None).windows is None
         with pytest.raises(ConfigurationError):
-            options.with_updates(resume_dir="/tmp/journal")
+            dataclasses.replace(options, resume_dir="/tmp/journal")
 
 
-class TestMerge:
-    def test_no_legacy_returns_options_or_defaults(self):
-        options = ExecutionOptions(workers=2)
-        assert merge_deprecated_kwargs(options, "f") is options
-        assert merge_deprecated_kwargs(None, "f") == ExecutionOptions()
-
-    def test_legacy_kwarg_warns_and_translates(self):
-        with pytest.warns(DeprecationWarning, match=r"run_points.*max_workers"):
-            merged = merge_deprecated_kwargs(
-                None,
-                "run_points",
-                aliases={"max_workers": "workers"},
-                parallel=UNSET,
-                max_workers=3,
-            )
-        assert merged == ExecutionOptions(workers=3)
-
-    def test_options_plus_legacy_is_type_error(self):
-        with pytest.raises(TypeError, match="not both"):
-            merge_deprecated_kwargs(ExecutionOptions(), "sweep", parallel=False)
-
-    def test_unknown_legacy_name_is_type_error(self):
-        with pytest.raises(TypeError, match="unknown execution option"):
-            merge_deprecated_kwargs(None, "sweep", turbo=True)
-
-
-class TestDeprecatedShims:
-    def test_sweep_legacy_parallel_warns_and_matches_options_form(self):
-        base = tiny_spec()
-        grid = {"seed": (0, 1)}
-        with pytest.warns(DeprecationWarning, match=r"sweep.*parallel"):
-            legacy = sweep(base, grid, parallel=False)
-        clean = sweep(base, grid, options=ExecutionOptions(parallel=False))
-        assert legacy.summaries() == clean.summaries()
-
-    def test_run_points_legacy_max_workers_warns(self):
-        points = expand_grid(tiny_spec(), {"seed": (0,)})
-        with pytest.warns(DeprecationWarning, match=r"run_points.*max_workers"):
-            run_points(points, parallel=False, max_workers=1)
-
-    def test_run_scenario_legacy_checkpoint_path_warns(self, tmp_path):
-        path = tmp_path / "point.ckpt"
-        spec = tiny_spec(checkpoint_every=1.0)
-        with pytest.warns(DeprecationWarning, match=r"run_scenario.*checkpoint_path"):
-            legacy = run_scenario(spec, checkpoint_path=path)
-        assert path.exists()
-        clean = run_scenario(spec, options=ExecutionOptions(checkpoint_path=path))
-        assert legacy.summary() == clean.summary()
-
+class TestEntryPoints:
     def test_options_form_is_warning_free(self):
         base = tiny_spec()
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             sweep(base, {"seed": (0,)}, options=ExecutionOptions(parallel=False))
-
-    def test_sweep_rejects_options_plus_legacy(self):
-        with pytest.raises(TypeError, match="not both"):
-            sweep(
-                tiny_spec(),
-                {"seed": (0,)},
-                parallel=False,
-                options=ExecutionOptions(),
-            )
 
     def test_run_scenario_rejects_windows(self):
         with pytest.raises(ConfigurationError, match="sweep-level"):

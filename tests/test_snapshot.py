@@ -1,4 +1,4 @@
-"""The ``repro-ckpt-v1`` checkpoint subsystem: format, mixin, timer, CLI.
+"""The ``repro-ckpt-v2`` checkpoint subsystem: format, mixin, timer, CLI.
 
 Covers the snapshot envelope's typed error paths (truncated file, version
 mismatch, corruption, foreign-scenario restore), the :class:`SnapshotState`
@@ -108,7 +108,7 @@ def test_slotted_class_round_trips():
 
 
 # ---------------------------------------------------------------------------
-# The repro-ckpt-v1 envelope
+# The repro-ckpt-v2 envelope
 # ---------------------------------------------------------------------------
 
 
@@ -362,6 +362,22 @@ def test_resume_cli_reports_one_line_error_and_exit_2(tmp_path, capsys, prepare,
     assert len(lines) == 1
     assert lines[0].startswith("error: ")
     assert match.split()[0] in lines[0] or match in lines[0]
+
+
+def test_v1_checkpoint_is_refused_before_unpickling(tmp_path, capsys):
+    """v1 states carried ``recorder``/``spans`` fields; the header refuses them."""
+    path = save_checkpoint(tmp_path / "old.ckpt", _bare_state(Simulator()))
+    blob = path.read_bytes()
+    newline = blob.find(b"\n")
+    header = json.loads(blob[:newline])
+    header["format"] = "repro-ckpt-v1"
+    path.write_bytes(json.dumps(header).encode() + blob[newline:])
+    with pytest.raises(SnapshotError, match="repro-ckpt-v1"):
+        load_checkpoint(path)
+    assert cli_main(["resume", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "repro-ckpt-v1" in err
+    assert "Traceback" not in err
 
 
 def test_resume_cli_truncated_checkpoint_exit_2(tmp_path, capsys):

@@ -10,7 +10,7 @@ hypothesis properties pin that down over the fast-tier catalog slice:
 * the span JSONL from a run that checkpoints mid-flight, and from a run
   *resumed* off that checkpoint, must both be byte-identical to the
   monolithic file — open spans and FIFO transfer queues survive the
-  ``repro-ckpt-v1`` round trip exactly.
+  ``repro-ckpt-v2`` round trip exactly.
 
 Summaries ride along in every comparison so behaviour-neutrality is
 re-asserted at the same time.
@@ -61,7 +61,7 @@ def _monolithic(name: str, tmp_path_factory) -> tuple[str, bytes]:
         result = run_scenario(_span_spec(name, out))
         _MONO_CACHE[name] = (
             _canon(result.summary()),
-            Path(result.span_path).read_bytes(),
+            Path(result.artifacts["spans"]).read_bytes(),
         )
     return _MONO_CACHE[name]
 
@@ -83,7 +83,7 @@ def test_windowed_span_tree_is_byte_identical(name, windows, tmp_path_factory):
     )
     mono_summary, mono_bytes = _monolithic(name, tmp_path_factory)
     point = result.points[0]
-    assert Path(point.span_path).read_bytes() == mono_bytes
+    assert Path(point.artifacts["spans"]).read_bytes() == mono_bytes
     assert len(mono_bytes) > 0
     assert _canon(point.summary()) == mono_summary
 
@@ -108,7 +108,7 @@ def test_span_tree_survives_checkpoint_resume(name, fraction, tmp_path_factory):
 
     # Checkpointing with spans on is itself invisible...
     full = run_scenario(ckpt_spec, options=ExecutionOptions(checkpoint_path=ckpt))
-    full_bytes = Path(full.span_path).read_bytes()
+    full_bytes = Path(full.artifacts["spans"]).read_bytes()
     assert full_bytes == mono_bytes
     assert _canon(full.summary()) == mono_summary
 
@@ -118,5 +118,5 @@ def test_span_tree_survives_checkpoint_resume(name, fraction, tmp_path_factory):
         ckpt_spec,
         options=ExecutionOptions(checkpoint_path=ckpt, resume_from=ckpt),
     )
-    assert Path(resumed.span_path).read_bytes() == mono_bytes
+    assert Path(resumed.artifacts["spans"]).read_bytes() == mono_bytes
     assert _canon(resumed.summary()) == mono_summary

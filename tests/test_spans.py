@@ -155,7 +155,7 @@ class TestSpanRecorder:
         recorder.on_dispersal_start(0, 0, 1.0)
         recorder.on_retrieval_start(0, 0, 0, 1.0)
         recorder.on_message_send(0, 1, chunk_msg(), 1.0)
-        recorder.finish()
+        recorder.finish(None)
         assert recorder.rows == []  # aborted work emits nothing
         recorder.on_dispersal_complete(0, 0, 2.0)  # and cannot close late
         assert recorder.rows == []

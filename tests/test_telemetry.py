@@ -12,7 +12,7 @@ from repro.common.errors import ConfigurationError, TraceError
 from repro.core.config import NodeConfig
 from repro.experiments.catalog import get_scenario
 from repro.experiments.cli import main as cli_main
-from repro.experiments.engine import run_scenario, telemetry_filename
+from repro.experiments.engine import point_filename, run_scenario
 from repro.experiments.runner import WorkloadSpec
 from repro.experiments.scenario import (
     BandwidthSpec,
@@ -158,7 +158,7 @@ class TestLinkSampling:
             node=NodeConfig(max_block_size=400_000),
             telemetry=TelemetrySpec(enabled=True, interval=0.5, out_dir=str(tmp_path)),
         )
-        rows = read_jsonl(run_scenario(spec).telemetry_path)
+        rows = read_jsonl(run_scenario(spec).artifacts["telemetry"])
         samples = [row for row in rows if row["kind"] == "sample"]
         assert samples
         for row in samples:
@@ -179,8 +179,8 @@ class TestRecorder:
             )
         )
         assert off.summary() == on.summary()
-        assert off.telemetry_path is None
-        assert on.telemetry_path is not None
+        assert off.artifacts == {}
+        assert set(on.artifacts) == {"telemetry"}
 
     def test_jsonl_rows_cover_the_run(self, trace_file, tmp_path):
         spec = replay_spec(
@@ -189,7 +189,7 @@ class TestRecorder:
             telemetry=TelemetrySpec(enabled=True, interval=1.0, out_dir=str(tmp_path)),
         )
         outcome = run_scenario(spec)
-        rows = read_jsonl(outcome.telemetry_path)
+        rows = read_jsonl(outcome.artifacts["telemetry"])
         kinds = {row["kind"] for row in rows}
         assert {"meta", "sample", "commit"} <= kinds
         meta = rows[0]
@@ -208,7 +208,7 @@ class TestRecorder:
         assert all(commit["latency"] >= 0 for commit in commits)
         assert all(commit["blocks"] >= 1 for commit in commits)
         # Every line is valid standalone JSON (the JSONL contract).
-        with open(outcome.telemetry_path, encoding="utf-8") as handle:
+        with open(outcome.artifacts["telemetry"], encoding="utf-8") as handle:
             for line in handle:
                 assert json.loads(line)["kind"] in {
                     "meta",
@@ -225,7 +225,7 @@ class TestRecorder:
             adversary=AdversarySpec(kind="equivocate", count=1),
             telemetry=TelemetrySpec(enabled=True, interval=1.0, out_dir=str(tmp_path)),
         )
-        rows = read_jsonl(run_scenario(spec).telemetry_path)
+        rows = read_jsonl(run_scenario(spec).artifacts["telemetry"])
         deliveries = [row for row in rows if row["kind"] == "adversary-delivery"]
         assert deliveries
         assert all(row["proposer"] == 3 for row in deliveries)
@@ -233,9 +233,9 @@ class TestRecorder:
 
     def test_telemetry_filename_is_point_unique_and_safe(self, trace_file):
         spec = replay_spec(trace_file, seed=7)
-        assert telemetry_filename(spec, None) == "tiny-replay-base-seed7.jsonl"
-        labelled = telemetry_filename(
-            spec, {"bandwidth.trace_scale": 0.5, "protocol": "dl"}
+        assert point_filename(spec, None, ".jsonl") == "tiny-replay-base-seed7.jsonl"
+        labelled = point_filename(
+            spec, {"bandwidth.trace_scale": 0.5, "protocol": "dl"}, ".jsonl"
         )
         assert labelled == "tiny-replay-trace_scale-0.5-protocol-dl-seed7.jsonl"
         assert "/" not in labelled and "=" not in labelled

@@ -5,7 +5,8 @@ monolithic runs across scenarios and window counts — is pinned by the
 hypothesis suite in ``test_windowed_properties.py``; this file covers the
 engine's moving parts deterministically: boundary arithmetic, prefix-tree
 planning (who leads, who forks, what disqualifies sharing), the fork refit,
-parallel scheduling, telemetry stitching, and the CLI surface.
+parallel scheduling, and the CLI surface.  Sink stitching (telemetry and
+spans) is pinned per sink kind in ``test_sinks.py``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from repro.experiments.windowed import (
     prefix_key,
     window_boundaries,
 )
-from repro.trace.recorder import TelemetrySpec
 
 MB = 1_000_000.0
 
@@ -169,29 +169,6 @@ class TestWindowedSweep:
             base, grid, options=ExecutionOptions(parallel=False, windows=3)
         )
         assert windowed.summaries() == mono.summaries()
-
-    def test_stitched_telemetry_is_byte_identical(self, tmp_path):
-        mono_dir = tmp_path / "mono"
-        win_dir = tmp_path / "win"
-        grid = {"warmup": (0.0, 1.0)}
-        mono = sweep(
-            tiny_spec(telemetry=TelemetrySpec(enabled=True, interval=0.25,
-                                              out_dir=str(mono_dir))),
-            grid,
-            options=ExecutionOptions(parallel=False),
-        )
-        windowed = sweep(
-            tiny_spec(telemetry=TelemetrySpec(enabled=True, interval=0.25,
-                                              out_dir=str(win_dir))),
-            grid,
-            options=ExecutionOptions(parallel=False, windows=3),
-        )
-        mono_paths = [Path(point.telemetry_path) for point in mono.points]
-        win_paths = [Path(point.telemetry_path) for point in windowed.points]
-        assert [p.name for p in mono_paths] == [p.name for p in win_paths]
-        for mono_path, win_path in zip(mono_paths, win_paths):
-            assert mono_path.read_bytes() == win_path.read_bytes()
-            assert mono_path.stat().st_size > 0
 
     def test_window_dir_keeps_handoff_artifacts(self, tmp_path):
         work = tmp_path / "work"

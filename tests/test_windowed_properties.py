@@ -159,7 +159,7 @@ def test_forked_prefix_with_telemetry_is_byte_identical(
     )
     assert windowed.summaries() == mono.summaries()
     for mono_point, win_point in zip(mono.points, windowed.points):
-        mono_bytes = Path(mono_point.telemetry_path).read_bytes()
-        win_bytes = Path(win_point.telemetry_path).read_bytes()
+        mono_bytes = Path(mono_point.artifacts["telemetry"]).read_bytes()
+        win_bytes = Path(win_point.artifacts["telemetry"]).read_bytes()
         assert mono_bytes == win_bytes
         assert len(mono_bytes) > 0
