@@ -1,18 +1,17 @@
-"""Transaction data-plane A/B report: object path vs columnar path.
+"""Saturating-workload data-plane report.
 
-Runs the same saturating express scenario through both data planes — the
-per-transaction object path (``kind="saturating"`` + ``mempool="object"``)
-and the struct-of-arrays columnar path (``kind="saturating-columnar"`` +
-``mempool="columnar"``) — and appends the throughput comparison to
-``benchmarks/BENCH_workload.json``.  Run standalone:
+Runs the saturating express scenario (``kind="saturating"``, which feeds
+columnar :class:`~repro.core.txbatch.TxBatch` refills into
+:class:`~repro.core.mempool.ColumnarMempool`) and appends its throughput
+and peak RSS to ``benchmarks/BENCH_workload.json``.  Run standalone:
 
     PYTHONPATH=src python benchmarks/bench_workload_report.py
 
-The A/B runs are **interleaved** (object, columnar, object, columnar, ...)
-so a slow drift in machine load lands evenly on both variants instead of
-biasing whichever ran second.  Every run executes in a fresh worker process
-so ``ru_maxrss`` is a true per-run peak RSS — the monotone high-water mark
-of a long-lived process would otherwise smear across runs.
+Every run executes in a fresh worker process so ``ru_maxrss`` is a true
+per-run peak RSS — the monotone high-water mark of a long-lived process
+would otherwise smear across runs.  Entries before the saturating kind
+moved onto the columnar plane hold an object-vs-columnar A/B under
+``variants``; that object path no longer exists.
 
 ``--scale`` additionally times the million-transaction flagship: the
 N = 256 express cluster committing 256 x 4096 = 1,048,576 transactions in
@@ -36,32 +35,24 @@ from repro.experiments.scenario import BandwidthSpec, ScenarioSpec, TopologySpec
 
 OUTPUT_PATH = Path(__file__).parent / "BENCH_workload.json"
 
-#: The two data planes under comparison: (workload kind, mempool kind).
-VARIANTS = {
-    "object": ("saturating", "object"),
-    "columnar": ("saturating-columnar", "columnar"),
-}
 
-
-def variant_spec(
-    variant: str,
+def saturating_spec(
     *,
     num_nodes: int,
     tx_size: int,
     block_bytes: int,
     seed: int = 1,
 ) -> ScenarioSpec:
-    """One point of the A/B: identical cluster and load, different plane."""
-    workload_kind, mempool = VARIANTS[variant]
+    """One backlogged express epoch: every proposer fills one block."""
     return ScenarioSpec(
-        name=f"bench-workload-{variant}",
+        name="bench-workload-saturating",
         protocol="dl",
         topology=TopologySpec(kind="uniform", num_nodes=num_nodes, delay=0.05, express=True),
         bandwidth=BandwidthSpec(kind="unlimited"),
         workload=WorkloadSpec(
-            kind=workload_kind, target_pending_bytes=2 * block_bytes, tx_size=tx_size
+            kind="saturating", target_pending_bytes=2 * block_bytes, tx_size=tx_size
         ),
-        node=NodeConfig(mempool=mempool, max_block_size=block_bytes, nagle_size=block_bytes),
+        node=NodeConfig(max_block_size=block_bytes, nagle_size=block_bytes),
         duration=2.0,
         warmup=0.0,
         warmup_fraction=0.0,
@@ -88,33 +79,16 @@ def _run_one(spec: ScenarioSpec) -> dict:
     }
 
 
-def run_report(*, num_nodes: int, tx_size: int, block_bytes: int, repeats: int) -> dict:
-    # Interleave the variants and give every run a fresh process (one task
-    # per child) so load drift and RSS high-water marks stay per-run.
-    order = [name for _ in range(repeats) for name in VARIANTS]
-    runs: dict[str, list[dict]] = {name: [] for name in VARIANTS}
+def _run_fresh(spec: ScenarioSpec) -> dict:
+    """Run ``spec`` in a fresh worker process (one task per child)."""
     with ProcessPoolExecutor(max_workers=1, max_tasks_per_child=1) as pool:
-        for name in order:
-            spec = variant_spec(
-                name, num_nodes=num_nodes, tx_size=tx_size, block_bytes=block_bytes
-            )
-            runs[name].append(pool.submit(_run_one, spec).result())
+        return pool.submit(_run_one, spec).result()
 
-    variants = {}
-    for name, samples in runs.items():
-        wall = sum(sample["wall_seconds"] for sample in samples)
-        generated = sum(sample["tx_generated"] for sample in samples)
-        committed = sum(sample["tx_committed"] for sample in samples)
-        variants[name] = {
-            "runs": len(samples),
-            "wall_seconds_mean": wall / len(samples),
-            "events_processed": samples[0]["events_processed"],
-            "tx_generated": samples[0]["tx_generated"],
-            "tx_committed": samples[0]["tx_committed"],
-            "tx_generated_per_s": generated / wall,
-            "tx_committed_per_s": committed / wall,
-            "peak_rss_mb": max(sample["peak_rss_kb"] for sample in samples) / 1024.0,
-        }
+
+def run_report(*, num_nodes: int, tx_size: int, block_bytes: int, repeats: int) -> dict:
+    spec = saturating_spec(num_nodes=num_nodes, tx_size=tx_size, block_bytes=block_bytes)
+    samples = [_run_fresh(spec) for _ in range(repeats)]
+    wall = sum(sample["wall_seconds"] for sample in samples)
     return {
         "workload": {
             "num_nodes": num_nodes,
@@ -124,30 +98,24 @@ def run_report(*, num_nodes: int, tx_size: int, block_bytes: int, repeats: int) 
             "repeats": repeats,
         },
         "cpus": os.cpu_count() or 1,
-        "variants": variants,
-        "speedup": {
-            "tx_generated_per_s": (
-                variants["columnar"]["tx_generated_per_s"]
-                / variants["object"]["tx_generated_per_s"]
-            ),
-            "tx_committed_per_s": (
-                variants["columnar"]["tx_committed_per_s"]
-                / variants["object"]["tx_committed_per_s"]
-            ),
+        "saturating": {
+            "runs": len(samples),
+            "wall_seconds_mean": wall / len(samples),
+            "events_processed": samples[0]["events_processed"],
+            "tx_generated": samples[0]["tx_generated"],
+            "tx_committed": samples[0]["tx_committed"],
+            "tx_generated_per_s": sum(sample["tx_generated"] for sample in samples) / wall,
+            "tx_committed_per_s": sum(sample["tx_committed"] for sample in samples) / wall,
+            "peak_rss_mb": max(sample["peak_rss_kb"] for sample in samples) / 1024.0,
         },
     }
 
 
 def run_scale(num_nodes: int = 256, tx_per_block: int = 4096, tx_size: int = 250) -> dict:
-    """The million-transaction flagship, columnar plane only, in-process."""
-    spec = variant_spec(
-        "columnar",
-        num_nodes=num_nodes,
-        tx_size=tx_size,
-        block_bytes=tx_per_block * tx_size,
+    """The million-transaction flagship, in a fresh process."""
+    sample = _run_fresh(
+        saturating_spec(num_nodes=num_nodes, tx_size=tx_size, block_bytes=tx_per_block * tx_size)
     )
-    with ProcessPoolExecutor(max_workers=1, max_tasks_per_child=1) as pool:
-        sample = pool.submit(_run_one, spec).result()
     return {
         "num_nodes": num_nodes,
         "tx_committed": sample["tx_committed"],
@@ -160,12 +128,13 @@ def run_scale(num_nodes: int = 256, tx_per_block: int = 4096, tx_size: int = 250
 
 
 def main(argv: list[str] | None = None) -> None:
-    parser = argparse.ArgumentParser(description="Transaction data-plane A/B report")
+    parser = argparse.ArgumentParser(description="Saturating-workload data-plane report")
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="reduced A/B for CI (N=16, 1 repeat); writes BENCH_workload.json "
-        "to the working directory instead of appending to the history",
+        help="reduced run for CI (N=4, 500 KB blocks, 1 repeat); writes "
+        "BENCH_workload.json to the working directory instead of appending "
+        "to the history",
     )
     parser.add_argument(
         "--scale",
@@ -180,7 +149,7 @@ def main(argv: list[str] | None = None) -> None:
             json.dumps(entry, indent=2) + "\n", encoding="utf-8"
         )
     else:
-        # N = 4 keeps the consensus machinery cheap so the comparison is
+        # N = 4 keeps the consensus machinery cheap so the run is
         # data-plane-bound: 4 proposers x 20,000 transactions per 5 MB block.
         entry = run_report(num_nodes=4, tx_size=250, block_bytes=5_000_000, repeats=2)
         if args.scale:
@@ -191,25 +160,16 @@ def main(argv: list[str] | None = None) -> None:
         history.append(entry)
         OUTPUT_PATH.write_text(json.dumps(history, indent=2) + "\n", encoding="utf-8")
         print(f"appended entry #{len(history)} to {OUTPUT_PATH}")
-    obj, col = entry["variants"]["object"], entry["variants"]["columnar"]
+    run = entry["saturating"]
     print(
-        f"object   {obj['wall_seconds_mean']:.2f}s/run, "
-        f"{obj['tx_committed_per_s']:,.0f} tx committed/s, "
-        f"{obj['peak_rss_mb']:.0f} MB peak RSS"
-    )
-    print(
-        f"columnar {col['wall_seconds_mean']:.2f}s/run, "
-        f"{col['tx_committed_per_s']:,.0f} tx committed/s, "
-        f"{col['peak_rss_mb']:.0f} MB peak RSS"
-    )
-    print(
-        f"speedup  {entry['speedup']['tx_generated_per_s']:.1f}x generated/s, "
-        f"{entry['speedup']['tx_committed_per_s']:.1f}x committed/s"
+        f"saturating {run['wall_seconds_mean']:.3f}s/run, "
+        f"{run['tx_committed_per_s']:,.0f} tx committed/s, "
+        f"{run['peak_rss_mb']:.0f} MB peak RSS"
     )
     if "scale" in entry:
         scale = entry["scale"]
         print(
-            f"scale    N={scale['num_nodes']}: {scale['tx_committed']:,} tx in "
+            f"scale      N={scale['num_nodes']}: {scale['tx_committed']:,} tx in "
             f"{scale['wall_seconds']:.1f}s ({scale['events_per_second']:,.0f} events/s)"
         )
 

@@ -21,7 +21,7 @@ from repro.core.config import NodeConfig
 from repro.core.epoch import EpochState
 from repro.core.ledger import DeliveredBlock, Ledger
 from repro.core.linking import compute_linking_targets, linked_slots
-from repro.core.mempool import MEMPOOLS, ColumnarMempool, Mempool, create_mempool
+from repro.core.mempool import ColumnarMempool, Mempool
 from repro.core.node import DispersedLedgerNode, DLCoupledNode
 from repro.core.node_base import BFTNodeBase
 from repro.core.state_machine import KeyValueStateMachine, decode_operation, encode_operation
@@ -37,13 +37,11 @@ __all__ = [
     "EpochState",
     "KeyValueStateMachine",
     "Ledger",
-    "MEMPOOLS",
     "Mempool",
     "NodeConfig",
     "Transaction",
     "TxBatch",
     "compute_linking_targets",
-    "create_mempool",
     "decode_operation",
     "encode_operation",
     "linked_slots",

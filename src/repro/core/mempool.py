@@ -11,11 +11,10 @@ data has accumulated.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Iterable, Union
+from typing import Iterable, Union
 
 import numpy as np
 
-from repro.common.errors import ConfigurationError
 from repro.common.snapshot import SnapshotState
 from repro.core.block import Transaction
 from repro.core.txbatch import TxBatch
@@ -314,22 +313,3 @@ class ColumnarMempool(SnapshotState):
         """Record a proposal that took no transactions (an empty block)."""
         self._last_proposal_time = now
 
-
-#: Registry of mempool implementations, keyed by ``NodeConfig.mempool``.
-MEMPOOLS: dict[str, Callable[..., "Mempool | ColumnarMempool"]] = {
-    "object": Mempool,
-    "columnar": ColumnarMempool,
-}
-
-
-def create_mempool(
-    kind: str, nagle_delay: float = 0.1, nagle_size: int = 150_000
-) -> "Mempool | ColumnarMempool":
-    """Build a mempool of the registered ``kind`` (``"object"``/``"columnar"``)."""
-    try:
-        factory = MEMPOOLS[kind]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown mempool kind {kind!r}; registered: {sorted(MEMPOOLS)}"
-        ) from None
-    return factory(nagle_delay=nagle_delay, nagle_size=nagle_size)

@@ -41,7 +41,7 @@ from repro.core.linking import (
     compute_linking_targets,
     linked_slots,
 )
-from repro.core.mempool import ColumnarMempool, create_mempool
+from repro.core.mempool import ColumnarMempool, Mempool
 from repro.core.txbatch import TxBatch
 from repro.sim.context import NodeContext
 from repro.sim.messages import Message
@@ -135,10 +135,10 @@ class BFTNodeBase(SnapshotState):
         else:
             self.codec = VirtualCodec(params)
 
-        self.mempool = create_mempool(
-            self.config.mempool,
-            nagle_delay=self.config.nagle_delay,
-            nagle_size=self.config.nagle_size,
+        #: The input queue.  The object :class:`Mempool` by default; the
+        #: experiment runner swaps in the queue its workload kind feeds.
+        self.mempool: Mempool | ColumnarMempool = Mempool(
+            nagle_delay=self.config.nagle_delay, nagle_size=self.config.nagle_size
         )
         self.ledger = Ledger()
 

@@ -489,13 +489,11 @@ register_scenario(
             topology=TopologySpec(kind="uniform", num_nodes=64, delay=0.05, express=True),
             bandwidth=BandwidthSpec(kind="unlimited"),
             workload=WorkloadSpec(
-                kind="saturating-columnar", target_pending_bytes=800_000, tx_size=250
+                kind="saturating", target_pending_bytes=800_000, tx_size=250
             ),
             # 1600 transactions per block x 64 proposers x 1 epoch = 102,400
             # committed transactions, all riding the struct-of-arrays plane.
-            node=NodeConfig(
-                mempool="columnar", max_block_size=400_000, nagle_size=400_000
-            ),
+            node=NodeConfig(max_block_size=400_000, nagle_size=400_000),
             duration=2.0,
             warmup=0.0,
             warmup_fraction=0.0,

@@ -23,10 +23,11 @@ from typing import Callable, Sequence
 
 from repro.adversary.registry import AdversarySpec, get_adversary
 from repro.ba.coin import CommonCoin
-from repro.common.errors import SnapshotError
+from repro.common.errors import ConfigurationError, SnapshotError
 from repro.common.params import ProtocolParams
 from repro.experiments.options import ExecutionOptions
 from repro.core.config import NodeConfig
+from repro.core.mempool import ColumnarMempool, Mempool
 from repro.core.node import DLCoupledNode, DispersedLedgerNode
 from repro.core.node_base import BFTNodeBase
 from repro.honeybadger.node import HoneyBadgerLinkNode, HoneyBadgerNode
@@ -38,7 +39,6 @@ from repro.sim.snapshot import CheckpointTimer, SimulationState, load_checkpoint
 from repro.workload.txgen import (
     DEFAULT_TX_SIZE,
     ColumnarPoissonTransactionGenerator,
-    ColumnarSaturatingTransactionGenerator,
     ModulatedPoissonTransactionGenerator,
     PoissonTransactionGenerator,
     SaturatingTransactionGenerator,
@@ -76,24 +76,29 @@ class WorkloadSpec:
 
     ``kind`` names an entry of the workload registry.  Built in:
 
-    * ``"saturating"`` — infinitely-backlogged throughput runs (S6.2);
+    * ``"saturating"`` — infinitely-backlogged throughput runs (S6.2): each
+      refill tops the mempool up to ``target_pending_bytes`` with one
+      columnar :class:`~repro.core.txbatch.TxBatch`;
     * ``"poisson"`` — constant-rate Poisson arrivals (latency-vs-load, S6.2);
     * ``"bursty"`` — on/off Poisson bursts: load ``rate / duty`` for
       ``duty * period`` seconds of every ``period``, zero otherwise;
     * ``"diurnal"`` — sinusoidal day/night Poisson modulation with relative
       swing ``amplitude`` over each ``period``;
-    * ``"poisson-columnar"`` / ``"saturating-columnar"`` — struct-of-arrays
-      twins of the first two: statistically the same processes, but emitting
-      one :class:`~repro.core.txbatch.TxBatch` per ``window`` (respectively
-      per refill) instead of one event per transaction, for
-      million-transaction runs.
+    * ``"poisson-columnar"`` — struct-of-arrays twin of ``"poisson"``:
+      statistically the same process, but emitting one batch per ``window``
+      instead of one event per transaction.
+
+    The kind also decides each node's input queue: ``"saturating"`` and
+    ``"poisson-columnar"`` feed a :class:`~repro.core.mempool.ColumnarMempool`,
+    the per-transaction kinds the object :class:`~repro.core.mempool.Mempool`.
 
     For all Poisson-family workloads ``rate_bytes_per_second`` is the mean
     *per-node* offered load.  ``period``, ``duty`` and ``amplitude`` only
     apply to the modulated kinds; ``window`` only to the columnar Poisson
     kind.  ``stop_after`` cuts the client load at that virtual time
     (``None`` = offered for the whole run), which lets drain-phase scenarios
-    measure how long in-flight transactions take to clear.
+    measure how long in-flight transactions take to clear.  Invalid values
+    raise :class:`ConfigurationError`.
     """
 
     kind: str = "saturating"
@@ -108,13 +113,27 @@ class WorkloadSpec:
 
     def __post_init__(self) -> None:
         if self.kind not in WORKLOADS:
-            raise ValueError(
+            raise ConfigurationError(
                 f"unknown workload kind {self.kind!r}; registered: {sorted(WORKLOADS)}"
             )
-        if self.stop_after is not None and self.stop_after <= 0:
-            raise ValueError("stop_after must be positive (or None)")
-        if self.window <= 0:
-            raise ValueError("window must be positive")
+        checks = {
+            "rate_bytes_per_second": (lambda v: v > 0, "positive"),
+            "tx_size": (lambda v: v > 0, "positive"),
+            "target_pending_bytes": (lambda v: v > 0, "positive"),
+            "period": (lambda v: v > 0, "positive"),
+            "window": (lambda v: v > 0, "positive"),
+            "duty": (lambda v: 0 < v <= 1, "in (0, 1]"),
+            "amplitude": (lambda v: 0 <= v < 1, "in [0, 1)"),
+        }
+        if self.stop_after is not None:
+            checks["stop_after"] = (lambda v: v > 0, "positive (or None)")
+        for name, (valid, expected) in checks.items():
+            value = getattr(self, name)
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not (number and valid(value)):
+                raise ConfigurationError(
+                    f"workload {name} must be {expected}, got {value!r}"
+                )
 
 
 #: ``factory(sim, node, spec, seed) -> generator`` — builds the per-node load
@@ -122,11 +141,19 @@ class WorkloadSpec:
 WorkloadFactory = Callable[[Simulator, BFTNodeBase, WorkloadSpec, int], object]
 
 WORKLOADS: dict[str, WorkloadFactory] = {}
+#: The input queue class each registered kind's generators feed;
+#: :func:`build_experiment` installs one on every node.
+WORKLOAD_MEMPOOLS: dict[str, type[Mempool] | type[ColumnarMempool]] = {}
 
 
-def register_workload(kind: str, factory: WorkloadFactory) -> None:
-    """Register a workload generator under ``kind``."""
+def register_workload(
+    kind: str,
+    factory: WorkloadFactory,
+    mempool: type[Mempool] | type[ColumnarMempool] = Mempool,
+) -> None:
+    """Register a workload generator under ``kind``, feeding ``mempool`` queues."""
     WORKLOADS[kind] = factory
+    WORKLOAD_MEMPOOLS[kind] = mempool
 
 
 def _per_node_seed(seed: int, node: BFTNodeBase) -> int:
@@ -194,24 +221,11 @@ def _poisson_columnar(sim: Simulator, node: BFTNodeBase, spec: WorkloadSpec, see
     )
 
 
-def _saturating_columnar(
-    sim: Simulator, node: BFTNodeBase, spec: WorkloadSpec, seed: int
-):
-    return ColumnarSaturatingTransactionGenerator(
-        sim,
-        node,
-        target_pending_bytes=spec.target_pending_bytes,
-        tx_size=spec.tx_size,
-        stop_at=spec.stop_after,
-    )
-
-
-register_workload("saturating", _saturating)
+register_workload("saturating", _saturating, ColumnarMempool)
 register_workload("poisson", _poisson)
 register_workload("bursty", _bursty)
 register_workload("diurnal", _diurnal)
-register_workload("poisson-columnar", _poisson_columnar)
-register_workload("saturating-columnar", _saturating_columnar)
+register_workload("poisson-columnar", _poisson_columnar, ColumnarMempool)
 
 
 @dataclass
@@ -335,7 +349,7 @@ def _experiment_fingerprint(
 ) -> str:
     """A short deterministic digest of *what* is being simulated.
 
-    Stored in every ``repro-ckpt-v2`` header and recomputed on resume, so a
+    Stored in every ``repro-ckpt-v3`` header and recomputed on resume, so a
     checkpoint taken by one scenario cannot silently continue another.  Trace
     objects are summarised by class name (their content is not JSON-stable);
     everything else is the exact argument value.
@@ -388,7 +402,8 @@ def build_experiment(
     Everything :func:`run_experiment` used to assemble inline now lands in a
     :class:`~repro.sim.snapshot.SimulationState`, so a fresh build and a
     restored checkpoint drive the exact same run/summarise phases.
-    Construction order (nodes, adversary replacements, generators,
+    Construction order (nodes, adversary replacements, the workload kind's
+    input queues, generators,
     ``network.start()``, then each of ``sinks`` attached in order) is part
     of the determinism contract: it fixes the initial sequence numbers.
     """
@@ -421,6 +436,15 @@ def build_experiment(
                 nodes[node_id] = replacement
         if adversary.silent_from_start:
             silent = frozenset(placement)
+
+    # The workload kind decides the input queue.  Installed after the
+    # adversary replacements (so they get one too) and outside node_config,
+    # which the fingerprint covers.
+    queue = WORKLOAD_MEMPOOLS[workload.kind]
+    for node in nodes:
+        node.mempool = queue(
+            nagle_delay=node.config.nagle_delay, nagle_size=node.config.nagle_size
+        )
 
     generators = []
     for node in nodes:
@@ -551,7 +575,7 @@ def run_experiment(
     """Run one protocol on one simulated network and summarise the outcome.
 
     Execution strategy (profiling, periodic checkpointing, resume) comes in
-    through ``options``: ``checkpoint_every`` writes a ``repro-ckpt-v2``
+    through ``options``: ``checkpoint_every`` writes a ``repro-ckpt-v3``
     checkpoint to ``checkpoint_path`` every that many virtual seconds
     (uncounted internal callbacks, so summaries are byte-identical with it
     on or off); ``resume_from`` continues a checkpoint — a file path or an

@@ -236,70 +236,6 @@ class ModulatedPoissonTransactionGenerator(SnapshotState):
         self._schedule_next()
 
 
-class SaturatingTransactionGenerator(SnapshotState):
-    """Keeps a node's mempool backlogged so it always has a full block to propose.
-
-    Used for the "infinitely-backlogged" throughput measurements (S6.2): at a
-    fixed refill interval the generator tops the mempool up to a target
-    number of pending bytes.  Transactions are stamped with their submission
-    time, so latency numbers from a saturating run are meaningless by design
-    (the paper likewise only reports throughput for these runs).
-
-    ``stop_at`` stops refilling at that virtual time (``None`` = never), the
-    same drain-phase knob the Poisson generators offer.
-    """
-
-    _SNAPSHOT_FIELDS = ("_sim", "_node", "_target", "_tx_size", "_interval", "_stop_at", "_sequence", "generated", "generated_bytes")
-
-    def __init__(
-        self,
-        sim: Simulator,
-        node: BFTNodeBase,
-        target_pending_bytes: int = 8_000_000,
-        tx_size: int = DEFAULT_TX_SIZE,
-        refill_interval: float = 0.05,
-        stop_at: float | None = None,
-    ):
-        if target_pending_bytes <= 0:
-            raise ValueError("target_pending_bytes must be positive")
-        if tx_size <= 0:
-            raise ValueError("transaction size must be positive")
-        if refill_interval <= 0:
-            raise ValueError("refill_interval must be positive")
-        self._sim = sim
-        self._node = node
-        self._target = target_pending_bytes
-        self._tx_size = tx_size
-        self._interval = refill_interval
-        self._stop_at = stop_at
-        self._sequence = 0
-        self.generated = 0
-        self.generated_bytes = 0
-
-    def start(self) -> None:
-        """Fill the mempool immediately and keep it topped up."""
-        self._refill()
-
-    def _refill(self) -> None:
-        now = self._sim.now
-        if self._stop_at is not None and now >= self._stop_at:
-            return
-        missing = self._target - self._node.mempool.pending_bytes
-        while missing > 0:
-            self._sequence += 1
-            tx = Transaction(
-                tx_id=self._sequence * self._node.params.n + self._node.node_id,
-                origin=self._node.node_id,
-                created_at=now,
-                size=self._tx_size,
-            )
-            self._node.submit_transaction(tx)
-            self.generated += 1
-            self.generated_bytes += self._tx_size
-            missing -= self._tx_size
-        self._sim.schedule(self._interval, self._refill)
-
-
 class ColumnarPoissonTransactionGenerator(SnapshotState):
     """Batched Poisson arrivals: one vectorised draw per scheduling window.
 
@@ -374,13 +310,20 @@ class ColumnarPoissonTransactionGenerator(SnapshotState):
         self._sim.schedule(self._window, self._close_window)
 
 
-class ColumnarSaturatingTransactionGenerator(SnapshotState):
-    """Batched version of :class:`SaturatingTransactionGenerator`.
+class SaturatingTransactionGenerator(SnapshotState):
+    """Keeps a node's mempool backlogged so it always has a full block to propose.
 
-    Same refill policy — top the mempool up to ``target_pending_bytes``
-    every ``refill_interval`` — but each top-up is one :class:`TxBatch`
-    built from vectorised id/size columns, so an infinitely-backlogged
-    million-transaction run allocates arrays, not objects.
+    Used for the "infinitely-backlogged" throughput measurements (S6.2): at a
+    fixed refill interval the generator tops the mempool up to a target
+    number of pending bytes.  Each top-up is one :class:`TxBatch` built from
+    vectorised id/timestamp columns, so a backlogged run allocates arrays,
+    not one object per transaction.  Transactions are stamped with their
+    submission time, so latency numbers from a saturating run are
+    meaningless by design (the paper likewise only reports throughput for
+    these runs).
+
+    ``stop_at`` stops refilling at that virtual time (``None`` = never), the
+    same drain-phase knob the Poisson generators offer.
     """
 
     _SNAPSHOT_FIELDS = ("_sim", "_node", "_target", "_tx_size", "_interval", "_stop_at", "_sequence", "generated", "generated_bytes")

@@ -2,8 +2,8 @@
 
 The property-based cross-checks against the object path live in
 ``tests/test_columnar_properties.py``; this module pins the concrete
-behaviours — digest/wire byte-compatibility, slice/cut semantics, the
-mempool registry, and the telemetry ``summarise`` reductions.
+behaviours — digest/wire byte-compatibility, slice/cut semantics and the
+telemetry ``summarise`` reductions.
 """
 
 import json
@@ -11,9 +11,9 @@ import json
 import numpy as np
 import pytest
 
-from repro.common.errors import ConfigurationError, TraceError
+from repro.common.errors import TraceError
 from repro.core.block import Transaction
-from repro.core.mempool import ColumnarMempool, Mempool, create_mempool
+from repro.core.mempool import ColumnarMempool
 from repro.core.txbatch import TxBatch, pack_digest_material
 from repro.metrics.stats import summarise, summarise_array
 from repro.trace.analysis import summarise_node_samples, summarise_telemetry
@@ -84,12 +84,6 @@ class TestTxBatch:
 
 
 class TestColumnarMempool:
-    def test_registry_builds_both_kinds(self):
-        assert isinstance(create_mempool("object"), Mempool)
-        assert isinstance(create_mempool("columnar"), ColumnarMempool)
-        with pytest.raises(ConfigurationError, match="unknown mempool kind"):
-            create_mempool("vectorised")
-
     def test_accounting_across_batches(self):
         pool = ColumnarMempool()
         pool.submit_batch(batch(0, 100, 200))

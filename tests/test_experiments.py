@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.common.errors import ConfigurationError
 from repro.common.params import ProtocolParams
 from repro.experiments.fig02 import crossover_n, measure_avid_m_dispersal_cost, vid_cost_curve
 from repro.experiments.runner import (
@@ -30,8 +31,21 @@ def tiny_network(n=4, rate=2_000_000.0, delay=0.05):
 
 class TestRunner:
     def test_workload_spec_validation(self):
-        with pytest.raises(ValueError):
-            WorkloadSpec(kind="replay")
+        for bad in (
+            {"kind": "replay"},
+            {"kind": "saturating-columnar"},
+            {"tx_size": 0},
+            {"target_pending_bytes": 0},
+            {"rate_bytes_per_second": -1.0},
+            {"window": 0.0},
+            {"stop_after": 0.0},
+            {"period": 0.0},
+            {"duty": 1.5},
+            {"amplitude": 1.0},
+            {"tx_size": "250"},
+        ):
+            with pytest.raises(ConfigurationError):
+                WorkloadSpec(**bad)
 
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ValueError):

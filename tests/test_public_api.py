@@ -38,7 +38,7 @@ INTENTIONAL_SURFACE = {
     "repro.adversary": ["AdversarySpec", "CrashedNode", "register_adversary"],
     "repro.ba": ["BinaryAgreement", "CommonCoin"],
     "repro.common": ["ProtocolParams", "VIDInstanceId"],
-    "repro.core": ["Block", "Ledger", "Mempool", "Transaction"],
+    "repro.core": ["Block", "ColumnarMempool", "Ledger", "Mempool", "Transaction"],
     "repro.crypto": ["MerkleTree", "verify_proof"],
     "repro.erasure": ["GF256", "ReedSolomonCode"],
     "repro.experiments": [

@@ -7,11 +7,12 @@ import pytest
 from repro.adversary.registry import AdversarySpec
 from repro.common.errors import ConfigurationError
 from repro.core.config import NodeConfig
+from repro.core.mempool import ColumnarMempool, Mempool
 from repro.experiments.catalog import SCENARIOS, get_scenario, list_scenarios
 from repro.experiments.cli import main as cli_main
-from repro.experiments.engine import run_scenario, sweep
+from repro.experiments.engine import build_point, run_scenario, sweep
 from repro.experiments.options import ExecutionOptions
-from repro.experiments.runner import WorkloadSpec, run_experiment
+from repro.experiments.runner import WorkloadSpec, run_experiment, summarise_experiment
 from repro.experiments.scenario import (
     BandwidthSpec,
     ScenarioSpec,
@@ -312,7 +313,7 @@ class TestRunScenario:
             )
         )
         assert stopped.summary()["mean_throughput"] < flowing.summary()["mean_throughput"]
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             WorkloadSpec(kind="poisson", stop_after=0.0)
 
     def test_vid_cost_scenario(self):
@@ -410,7 +411,87 @@ class TestCatalog:
             assert len(points) == entry.num_points(), entry.name
 
 
+def _fed_nodes(state):
+    """The nodes a client generator feeds (not dead from the start)."""
+    adversary = state.adversary
+    silent = set(state.placement) if adversary and adversary.silent_from_start else set()
+    return [node for node in state.nodes if node.node_id not in silent]
+
+
+class TestWorkloadQueues:
+    """The workload kind, not the node config, picks each node's input queue."""
+
+    def test_every_catalog_saturating_point_feeds_columnar_queues(self):
+        built = 0
+        for entry in list_scenarios():
+            for overrides, spec in expand_grid(entry.base, entry.grid):
+                if spec.kind != "sim" or spec.workload.kind != "saturating":
+                    continue
+                state = build_point(spec, overrides)
+                assert all(
+                    isinstance(node.mempool, ColumnarMempool) for node in _fed_nodes(state)
+                ), (entry.name, overrides)
+                built += 1
+        assert built >= 10
+
+    @pytest.mark.parametrize(
+        "kind, queue",
+        [
+            ("poisson", Mempool),
+            ("bursty", Mempool),
+            ("diurnal", Mempool),
+            ("poisson-columnar", ColumnarMempool),
+        ],
+    )
+    def test_other_kinds_keep_their_queue(self, kind, queue):
+        spec = tiny_spec(
+            workload=WorkloadSpec(kind=kind),
+            adversary=AdversarySpec(kind="censor", count=1, victim=0),
+        )
+        state = build_point(spec, None)
+        assert {type(node.mempool) for node in state.nodes} == {queue}
+
+    def test_saturating_run_on_the_real_data_plane_commits(self):
+        spec = tiny_spec(
+            workload=WorkloadSpec(kind="saturating", target_pending_bytes=40_000),
+            node=NodeConfig(data_plane="real", max_block_size=20_000),
+            duration=3.0,
+        )
+        state = build_point(spec, None)
+        state.sim.run(until=spec.duration)
+        result = summarise_experiment(state)
+        assert result.tx_committed > 0
+        assert min(result.delivered_epochs) >= 1
+        ledgers = [
+            [(e.epoch, e.proposer, e.block.digest()) for e in node.ledger.entries]
+            for node in state.nodes
+        ]
+        shortest = min(len(ledger) for ledger in ledgers)
+        assert shortest > 0
+        assert all(ledger[:shortest] == ledgers[0][:shortest] for ledger in ledgers)
+        # Real bytes were coded: the delivered blocks are decoded object blocks.
+        delivered = state.nodes[1].ledger.entries[0].block
+        assert delivered.tx_batch is None and delivered.transactions
+
+
 class TestCli:
+    @pytest.mark.parametrize(
+        "assignment, field",
+        [
+            ("workload.kind=bogus", "bogus"),
+            ("workload.kind=saturating-columnar", "saturating-columnar"),
+            ("workload.window=0", "window"),
+            ("workload.tx_size=0", "tx_size"),
+        ],
+    )
+    def test_bad_workload_value_is_a_one_line_error(self, assignment, field, capsys):
+        argv = ["run", "trace-replay-wan", "--duration", "2", "--serial", "--set", assignment]
+        rc = cli_main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and field in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_list_runs(self, capsys):
         assert cli_main(["list"]) == 0
         out = capsys.readouterr().out

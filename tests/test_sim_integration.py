@@ -151,9 +151,13 @@ class TestDecoupling:
                 )
                 network.attach(node_id, node)
                 nodes.append(node)
+            from repro.core.mempool import ColumnarMempool
             from repro.workload.txgen import SaturatingTransactionGenerator
 
             for node in nodes:
+                node.mempool = ColumnarMempool(
+                    nagle_delay=config.nagle_delay, nagle_size=config.nagle_size
+                )
                 generator = SaturatingTransactionGenerator(
                     sim, node, target_pending_bytes=2_000_000
                 )

@@ -4,6 +4,7 @@ import pytest
 
 from repro.common.params import ProtocolParams
 from repro.core.config import NodeConfig
+from repro.core.mempool import ColumnarMempool
 from repro.core.node import DispersedLedgerNode
 from repro.sim.context import NodeContext
 from repro.sim.events import Simulator
@@ -79,19 +80,59 @@ class TestPoissonGenerator:
             PoissonTransactionGenerator(sim, node, rate_bytes_per_second=100, tx_size=0)
 
 
+def make_columnar_node():
+    """A standalone node with the columnar queue the saturating kind feeds."""
+    node = make_node()
+    node.mempool = ColumnarMempool()
+    return node
+
+
 class TestSaturatingGenerator:
     def test_keeps_mempool_topped_up(self):
         sim = Simulator()
-        node = make_node()
+        node = make_columnar_node()
         generator = SaturatingTransactionGenerator(
             sim, node, target_pending_bytes=100_000, tx_size=250, refill_interval=0.1
         )
         generator.start()
         sim.run(until=0.0)
-        assert node.mempool.pending_bytes >= 100_000
+        assert node.mempool.pending_bytes == 100_000
         node.mempool.take_batch(60_000, now=0.0)
         sim.run(until=0.2)
-        assert node.mempool.pending_bytes >= 100_000
+        assert node.mempool.pending_bytes == 100_000
+        # One batch per refill: the first fill plus one top-up at t=0.1 (the
+        # t=0.2 refill finds the queue full).
+        assert len(node.mempool._queue) == 2
+
+    def test_refills_are_batches_with_unique_ids_and_refill_stamps(self):
+        sim = Simulator()
+        node = make_columnar_node()
+        generator = SaturatingTransactionGenerator(
+            sim, node, target_pending_bytes=1_000, tx_size=250, refill_interval=0.1
+        )
+        generator.start()
+        sim.run(until=0.0)
+        node.mempool.take_batch(500, now=0.0)
+        sim.run(until=0.1)
+        head, top_up = node.mempool._queue
+        assert head.origin == top_up.origin == 0
+        assert top_up.created_at.tolist() == [0.1, 0.1]
+        ids = head.tx_ids.tolist() + top_up.tx_ids.tolist()
+        assert len(set(ids)) == len(ids) == generator.generated
+        assert all(tx_id % node.params.n == node.node_id for tx_id in ids)
+
+    def test_stop_at(self):
+        sim = Simulator()
+        node = make_columnar_node()
+        generator = SaturatingTransactionGenerator(
+            sim, node, target_pending_bytes=1_000, tx_size=250, stop_at=0.05
+        )
+        generator.start()
+        sim.run(until=0.0)
+        node.mempool.take_batch(1_000, now=0.0)
+        sim.run(until=1.0)
+        assert node.mempool.is_empty
+        assert generator.generated == 4
 
     def test_rejects_bad_parameters(self):
         sim, node = Simulator(), make_node()
