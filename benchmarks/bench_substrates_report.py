@@ -12,6 +12,12 @@ implementation (PR 0: per-row Python loops over log/exp tables, per-call
 matrix inversion, list-of-digests Merkle levels) and measures it in the same
 process, so every ``speedup_vs_seed`` compares two medians taken seconds
 apart on the same machine.
+
+The ``retrieve_check_250kb_*`` rows time AVID-M's retrieval check the same
+way: the two-pass form (decode, re-encode, hash all ``n`` leaves, compare
+roots) against ``RealCodec.decode``'s one codeword completion that reuses
+the ``k`` verified leaf digests.  Every mode, ``--smoke`` included, asserts
+the two give identical results.
 """
 
 from __future__ import annotations
@@ -26,10 +32,12 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.common.errors import DecodingError
 from repro.common.params import ProtocolParams
 from repro.crypto.merkle import MerkleTree, verify_proof
 from repro.erasure.gf256 import GF256
 from repro.erasure.rs_code import ReedSolomonCode
+from repro.vid.codec import BAD_UPLOADER, RealCodec
 
 N = 16
 BLOCK_SIZE = 250_000
@@ -116,6 +124,49 @@ class _SeedMerkleTree:
             ]
             self.levels.append(level)
         self.root = self.levels[-1][0]
+
+
+def _two_step_check(code: ReedSolomonCode, root: bytes, chunks: dict) -> object:
+    """The retrieval check as two full passes (decode, then re-encode and
+    compare Merkle roots) — what ``RealCodec.decode`` did before it
+    completed the codeword in one pass."""
+    try:
+        payload = code.decode({i: chunk.data for i, chunk in chunks.items()})
+    except DecodingError:
+        return BAD_UPLOADER
+    if MerkleTree(code.encode(payload)).root != root:
+        return BAD_UPLOADER
+    return payload
+
+
+def _retrieve_check_rows(block: bytes, repeat: int) -> dict:
+    """Two-pass vs fused retrieval check at N=8 and N=16, retrieving from
+    the parity shards and from the systematic shards."""
+    rows = {}
+    for n in (8, 16):
+        params = ProtocolParams.for_n(n)
+        k = params.data_shards
+        codec = RealCodec(params)
+        code = ReedSolomonCode(k, n)
+        bundle = codec.encode(block)
+        for shape, indices in (("parity", range(n - k, n)), ("systematic", range(k))):
+            chunks = {i: bundle.chunks[i] for i in indices}
+            digests = {i: codec.verify_chunk(bundle.root, c) for i, c in chunks.items()}
+            fused = codec.decode(bundle.root, chunks, digests)
+            two_step = _two_step_check(code, bundle.root, chunks)
+            assert fused == two_step == block, "fused and two-step checks must agree"
+            fused_s, two_step_s = _compare(
+                lambda: codec.decode(bundle.root, chunks, digests),
+                lambda: _two_step_check(code, bundle.root, chunks),
+                repeat=repeat,
+            )
+            rows[f"retrieve_check_250kb_n{n}_{shape}"] = {
+                "median_seconds": fused_s,
+                "throughput_mb_per_s": len(block) / fused_s / 1e6,
+                "two_step_median_seconds": two_step_s,
+                "speedup_vs_two_step": two_step_s / fused_s,
+            }
+    return rows
 
 
 def _time(func, *, repeat: int = 30, warmup: int = 3) -> float:
@@ -214,6 +265,7 @@ def run_report(repeat: int = 20, many_repeat: int = 5, fast_repeat: int = 100) -
             entry["seed_median_seconds"] = seed_seconds
             entry["speedup_vs_seed"] = seed_seconds / seconds
         operations[name] = entry
+    operations.update(_retrieve_check_rows(block, repeat))
 
     return {
         "workload": {"n": N, "data_shards": params.data_shards, "block_size": BLOCK_SIZE},
@@ -236,11 +288,13 @@ def main(argv: list[str] | None = None) -> None:
         OUTPUT_PATH.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
         print(f"wrote {OUTPUT_PATH}")
     for name, entry in report["operations"].items():
-        line = f"{name:32s} {entry['median_seconds'] * 1e3:8.3f} ms"
+        line = f"{name:36s} {entry['median_seconds'] * 1e3:8.3f} ms"
         if "throughput_mb_per_s" in entry:
             line += f"  {entry['throughput_mb_per_s']:8.1f} MB/s"
         if "speedup_vs_seed" in entry:
             line += f"  {entry['speedup_vs_seed']:5.1f}x vs seed"
+        if "speedup_vs_two_step" in entry:
+            line += f"  {entry['speedup_vs_two_step']:5.2f}x vs two-step"
         print(line)
 
 

@@ -75,13 +75,25 @@ class NodeConfig:
                 f"data_plane must be '{REAL_PLANE}' or '{VIRTUAL_PLANE}', "
                 f"got {self.data_plane!r}"
             )
-        if self.nagle_delay < 0:
-            raise ConfigurationError("nagle_delay must be non-negative")
-        if self.nagle_size < 0:
-            raise ConfigurationError("nagle_size must be non-negative")
-        if self.max_block_size <= 0:
-            raise ConfigurationError("max_block_size must be positive")
-        if self.coupled_lag < 1:
-            raise ConfigurationError("coupled_lag must be at least 1")
-        if self.max_parallel_retrievals < 1:
-            raise ConfigurationError("max_parallel_retrievals must be at least 1")
+        checks = {
+            "nagle_delay": (lambda v: v >= 0, "non-negative"),
+            "nagle_size": (lambda v: v >= 0, "non-negative"),
+            "max_block_size": (lambda v: v > 0, "positive"),
+            "coupled_lag": (lambda v: v >= 1, "at least 1"),
+            "max_parallel_retrievals": (lambda v: v >= 1, "at least 1"),
+        }
+        for name, (valid, expected) in checks.items():
+            value = getattr(self, name)
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not (number and valid(value)):
+                raise ConfigurationError(f"node {name} must be {expected}, got {value!r}")
+        for name in (
+            "linking",
+            "coupled",
+            "propose_empty_when_idle",
+            "retrieval_uses_priority",
+            "retrieve_blocks",
+        ):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ConfigurationError(f"node {name} must be true or false, got {value!r}")

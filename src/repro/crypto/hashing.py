@@ -19,36 +19,19 @@ _sha256 = hashlib.sha256
 
 
 def hash_data(data: bytes) -> bytes:
-    """Hash raw data (used for Merkle leaves and content digests)."""
-    return _sha256(_LEAF_PREFIX + data).digest()
+    """Hash raw data (used for Merkle leaves and content digests).
+
+    Prefix and data are fed to the hasher separately (hashing is
+    incremental), so a chunk is never copied just to prepend one byte.
+    """
+    hasher = _sha256(_LEAF_PREFIX)
+    hasher.update(data)
+    return hasher.digest()
 
 
 def hash_pair(left: bytes, right: bytes) -> bytes:
     """Hash the concatenation of two child digests (interior Merkle nodes)."""
     return _sha256(_NODE_PREFIX + left + right).digest()
-
-
-def hash_leaves(leaves: list[bytes]) -> list[bytes]:
-    """Hash a list of leaf payloads."""
-    return [hash_data(leaf) for leaf in leaves]
-
-
-def digest_leaves_into(out: bytearray, leaves: list[bytes]) -> None:
-    """Write the leaf digests of ``leaves`` into ``out`` back to back.
-
-    ``out`` must hold at least ``DIGEST_SIZE * len(leaves)`` bytes.  This is
-    the batched form of :func:`hash_data` used by the Merkle tree builder:
-    one pass, no per-leaf list or tuple allocations.
-    """
-    sha, prefix = _sha256, _LEAF_PREFIX
-    pos = 0
-    for leaf in leaves:
-        # Stream prefix and leaf separately: hashing is incremental, so this
-        # matches hash_data() without materialising a prefix+leaf copy.
-        hasher = sha(prefix)
-        hasher.update(leaf)
-        out[pos : pos + DIGEST_SIZE] = hasher.digest()
-        pos += DIGEST_SIZE
 
 
 def digest_level_into(out: bytearray, level: bytes | bytearray) -> None:

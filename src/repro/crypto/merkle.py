@@ -9,23 +9,24 @@ The tree pads the leaf layer to the next power of two with a fixed empty
 digest so that proof sizes are ``ceil(log2 N)`` siblings.
 
 Every level is stored as one packed ``bytes`` buffer of 32-byte digests,
-built bottom-up in a single :mod:`hashlib` pass per level — no per-node
-list allocations.  Proofs slice siblings straight out of those buffers;
+built bottom-up in a single :mod:`hashlib` pass per level (interior
+levels hash straight out of the buffer below, with no per-node lists).
+Proofs slice siblings straight out of those buffers;
 :meth:`MerkleTree.proofs_all` is the convenience form for AVID-M's
 "one proof per server" dispersal.
+
+A tree can also take some leaves as digests already computed: AVID-M's
+retrieval check rebuilds the root over a completed codeword whose ``k``
+received chunks were hashed once already, by :func:`verify_proof`, which
+hands back the leaf digest it checked.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
-from repro.crypto.hashing import (
-    DIGEST_SIZE,
-    digest_leaves_into,
-    digest_level_into,
-    hash_data,
-    hash_pair,
-)
+from repro.crypto.hashing import DIGEST_SIZE, digest_level_into, hash_data, hash_pair
 
 _EMPTY_LEAF = hash_data(b"\x00merkle-padding")
 
@@ -49,21 +50,35 @@ class MerkleProof:
 
 
 class MerkleTree:
-    """A Merkle tree over a fixed list of leaf payloads."""
+    """A Merkle tree over a fixed list of leaves.
 
-    def __init__(self, leaves: list[bytes]):
-        if not leaves:
+    Args:
+        leaves: the leaf payloads to hash.
+        known: leaf digests already computed, by leaf position.  The tree
+            then has ``len(leaves) + len(known)`` leaves: ``known`` fills its
+            positions and ``leaves`` fill the others, in ascending order.
+            Only ``leaves`` are hashed.
+    """
+
+    def __init__(self, leaves: list[bytes], known: Mapping[int, bytes] | None = None):
+        known = known or {}
+        count = len(leaves) + len(known)
+        if not count:
             raise ValueError("Merkle tree needs at least one leaf")
-        self._num_leaves = len(leaves)
+        if any(not 0 <= pos < count for pos in known):
+            raise ValueError(f"known leaf positions must lie in [0, {count})")
+        self._num_leaves = count
         width = 1
-        while width < len(leaves):
+        while width < count:
             width *= 2
-        level = bytearray(width * DIGEST_SIZE)
-        digest_leaves_into(level, leaves)
-        for pos in range(len(leaves), width):
-            level[pos * DIGEST_SIZE : (pos + 1) * DIGEST_SIZE] = _EMPTY_LEAF
+        fresh = iter(leaves)
+        digests = [
+            known[pos] if pos in known else hash_data(next(fresh)) for pos in range(count)
+        ]
         #: Packed digest buffers, leaf level first, root level (32 bytes) last.
-        self._levels: list[bytes] = [bytes(level)]
+        self._levels: list[bytes] = [
+            b"".join(digests) + _EMPTY_LEAF * (width - count)
+        ]
         while width > 1:
             width //= 2
             parent = bytearray(width * DIGEST_SIZE)
@@ -110,9 +125,13 @@ def merkle_root(leaves: list[bytes]) -> bytes:
     return MerkleTree(leaves).root
 
 
-def verify_proof(root: bytes, leaf: bytes, proof: MerkleProof) -> bool:
-    """Check that ``leaf`` is the ``proof.index``-th leaf under ``root``."""
-    digest = hash_data(leaf)
+def verify_proof(root: bytes, leaf: bytes, proof: MerkleProof) -> bytes | None:
+    """Check that ``leaf`` is the ``proof.index``-th leaf under ``root``.
+
+    Returns the leaf's digest when the proof holds (so a caller can reuse it
+    instead of hashing the leaf again), else ``None``.
+    """
+    digest = leaf_digest = hash_data(leaf)
     pos = proof.index
     for sibling in proof.siblings:
         if pos % 2 == 0:
@@ -120,4 +139,4 @@ def verify_proof(root: bytes, leaf: bytes, proof: MerkleProof) -> bool:
         else:
             digest = hash_pair(sibling, digest)
         pos //= 2
-    return digest == root
+    return leaf_digest if digest == root else None

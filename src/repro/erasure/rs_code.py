@@ -23,7 +23,13 @@ Performance structure (see docs/performance.md):
   shard-index tuple in a small LRU cache — the experiments decode at the
   same index subsets over and over;
 * when the ``k`` systematic shards are all present, decoding skips matrix
-  work entirely and just reassembles the payload.
+  work entirely and just reassembles the payload;
+* :meth:`ReedSolomonCode.complete` serves AVID-M's retrieval check in one
+  pass: it multiplies the ``k`` selected shards by one cached
+  ``(n - k) x k`` completion matrix ``M[not S] * inv(M[S])`` (the parity
+  matrix when ``S`` is the systematic set), returns all ``n`` shards, and
+  checks that they are exactly what :meth:`ReedSolomonCode.encode` makes of
+  the payload they carry — so the check never re-encodes from scratch.
 """
 
 from __future__ import annotations
@@ -70,6 +76,22 @@ def _decode_inverse(
     inverse = GF256.mat_inv(matrix[list(indices), :])
     inverse.setflags(write=False)
     return inverse
+
+
+@lru_cache(maxsize=DECODE_CACHE_SIZE)
+def _completion_matrix(
+    data_shards: int, total_shards: int, indices: tuple[int, ...]
+) -> np.ndarray:
+    """``M[missing] * inv(M[indices])``: the ``(n - k) x k`` matrix mapping
+    the shards at ``indices`` to the shards at every other index, in
+    ascending order (the parity matrix when ``indices`` is ``0..k-1``)."""
+    matrix = _systematic_matrix(data_shards, total_shards)
+    missing = [i for i in range(total_shards) if i not in indices]
+    completion = GF256.mat_mul(
+        matrix[missing, :], _decode_inverse(data_shards, total_shards, indices)
+    )
+    completion.setflags(write=False)
+    return completion
 
 
 class ReedSolomonCode:
@@ -174,16 +196,33 @@ class ReedSolomonCode:
 
     # --- decoding --------------------------------------------------------
 
-    def _select_indices(self, shards: dict[int, bytes]) -> list[int]:
-        """Pick the ``k`` shard indices to decode from.
+    def _select_indices(self, shards: dict[int, bytes]) -> tuple[list[int], int]:
+        """Pick and validate the ``k`` shard indices to decode from.
 
-        Sorted-ascending selection *is* the systematic preference: every
-        systematic index (``0..k-1``) is numerically smaller than every
-        parity index, so the ``k`` smallest available indices always include
-        all available systematic shards, and the no-inversion fast path
-        triggers whenever all ``k`` of them are present.
+        Returns the indices and their common shard width.  Sorted-ascending
+        selection *is* the systematic preference: every systematic index
+        (``0..k-1``) is numerically smaller than every parity index, so the
+        ``k`` smallest available indices always include all available
+        systematic shards, and the no-inversion fast path triggers whenever
+        all ``k`` of them are present.
+
+        Raises:
+            DecodingError: fewer than ``k`` shards, an index out of range,
+                empty shards, or selected shards of different lengths.
         """
-        return sorted(shards)[: self.data_shards]
+        if len(shards) < self.data_shards:
+            raise DecodingError(
+                f"need at least {self.data_shards} shards, got {len(shards)}"
+            )
+        indices = sorted(shards)[: self.data_shards]
+        if indices[0] < 0 or indices[-1] >= self.total_shards:
+            raise DecodingError(f"shard index out of range: {indices}")
+        shard_size = len(shards[indices[0]])
+        if shard_size == 0:
+            raise DecodingError("shards must be non-empty")
+        if any(len(shards[i]) != shard_size for i in indices):
+            raise DecodingError("all shards must have the same length")
+        return indices, shard_size
 
     def _decode_matrix(self, indices: tuple[int, ...]) -> np.ndarray:
         """The inverted decode matrix for ``indices``, via the shared LRU.
@@ -214,6 +253,26 @@ class ReedSolomonCode:
             "size": _decode_inverse.cache_info().currsize,
         }
 
+    def _unpad(self, data: bytes, shard_size: int) -> bytes:
+        """The payload in a decoded data region of ``k`` shards of ``shard_size``.
+
+        Raises:
+            DecodingError: if the region cannot hold the length header, or
+                the header claims more bytes than the region holds.
+        """
+        capacity = self.data_shards * shard_size - _LENGTH_HEADER.size
+        if capacity < 0:
+            raise DecodingError(
+                f"{self.data_shards} shards of {shard_size} bytes cannot hold "
+                "the length header"
+            )
+        (length,) = _LENGTH_HEADER.unpack_from(data)
+        if length > capacity:
+            raise DecodingError(
+                f"decoded length header {length} exceeds shard capacity {capacity}"
+            )
+        return data[_LENGTH_HEADER.size : _LENGTH_HEADER.size + length]
+
     def decode(self, shards: dict[int, bytes]) -> bytes:
         """Reconstruct the original block from any ``k`` shards.
 
@@ -226,19 +285,7 @@ class ReedSolomonCode:
                 lengths disagree, the indices are out of range, or the decoded
                 length header is inconsistent with the shard capacity.
         """
-        if len(shards) < self.data_shards:
-            raise DecodingError(
-                f"need at least {self.data_shards} shards, got {len(shards)}"
-            )
-        indices = self._select_indices(shards)
-        if indices[0] < 0 or indices[-1] >= self.total_shards:
-            raise DecodingError(f"shard index out of range: {indices}")
-        shard_size = len(shards[indices[0]])
-        if shard_size == 0:
-            raise DecodingError("shards must be non-empty")
-        if any(len(shards[i]) != shard_size for i in indices):
-            raise DecodingError("all shards must have the same length")
-
+        indices, shard_size = self._select_indices(shards)
         if indices == list(range(self.data_shards)):
             # Systematic fast path: the selected shards *are* the padded
             # block — reassemble without touching the kernel.
@@ -247,14 +294,53 @@ class ReedSolomonCode:
             inverse = self._decode_matrix(tuple(indices))
             rows = GF256.mat_vec_bytes(inverse, [shards[i] for i in indices])
             payload = b"".join(rows)
-        (length,) = _LENGTH_HEADER.unpack_from(payload)
-        capacity = self.data_shards * shard_size - _LENGTH_HEADER.size
-        if length > capacity:
-            raise DecodingError(
-                f"decoded length header {length} exceeds shard capacity {capacity}"
+        return self._unpad(payload, shard_size)
+
+    def complete(self, shards: dict[int, bytes]) -> tuple[bytes, list[bytes]]:
+        """Complete the codeword from ``k`` shards and return its payload.
+
+        The ``k`` shards the decoder selects (see :meth:`decode`) are kept
+        as given; one kernel pass computes the other ``n - k``, so the
+        returned codeword agrees with the input on the selected indices and
+        holds freshly computed shards everywhere else (a supplied shard
+        outside the selection is not trusted).
+
+        Returns ``(payload, codeword)`` only if ``codeword == encode(payload)``
+        bit for bit.  The completed codeword is a codeword of the code, so
+        that holds exactly when its data region is the canonical padding of
+        the payload: the length header fits, the shard width is
+        ``shard_size(len(payload))``, and every byte after the payload is
+        zero.
+
+        Raises:
+            DecodingError: as :meth:`decode`, or if the completed codeword is
+                not the encoding of any payload.
+        """
+        indices, shard_size = self._select_indices(shards)
+        selected = [shards[i] for i in indices]
+        computed = iter(
+            GF256.mat_vec_bytes(
+                _completion_matrix(self.data_shards, self.total_shards, tuple(indices)),
+                selected,
             )
-        return payload[_LENGTH_HEADER.size : _LENGTH_HEADER.size + length]
+        )
+        chosen = set(indices)
+        codeword = [
+            shards[i] if i in chosen else next(computed) for i in range(self.total_shards)
+        ]
+        data = b"".join(codeword[: self.data_shards])
+        payload = self._unpad(data, shard_size)
+        if self.shard_size(len(payload)) != shard_size:
+            raise DecodingError(
+                f"shard width {shard_size} is not the encoding width "
+                f"{self.shard_size(len(payload))} of a {len(payload)}-byte block"
+            )
+        # shard_size matches, so the padding is shorter than k bytes.
+        if any(data[_LENGTH_HEADER.size + len(payload) :]):
+            raise DecodingError("nonzero padding after the payload")
+        return payload, codeword
 
     def reencode(self, block: bytes) -> list[bytes]:
-        """Alias of :meth:`encode`, named for the AVID-M retrieval check."""
+        """Alias of :meth:`encode`, named for AVID-M's re-encode check
+        (which :meth:`complete` performs without re-encoding)."""
         return self.encode(block)

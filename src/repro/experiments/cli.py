@@ -31,7 +31,7 @@ checkpointing, ``--telemetry`` records a per-point JSONL time-series, and
 ``--workers`` sizes the process pool.  Misuse is always a one-line
 ``error: ...`` and exit status 2, never a traceback.
 
-``resume`` continues a ``repro-ckpt-v3`` checkpoint (written by
+``resume`` continues a ``repro-ckpt-v4`` checkpoint (written by
 ``--checkpoint-every`` / ``--set checkpoint_every=…``) to completion and
 prints the same unified summary ``run`` would have produced; a truncated,
 corrupt, or foreign-scenario file is a one-line error and exit status 2.
@@ -144,7 +144,7 @@ def add_execution_options(cmd: argparse.ArgumentParser, *, sweepable: bool) -> N
     group.add_argument(
         "--checkpoint-every",
         type=float,
-        help="write a repro-ckpt-v3 checkpoint every this many virtual "
+        help="write a repro-ckpt-v4 checkpoint every this many virtual "
         "seconds while the run executes",
     )
     group.add_argument("--json", action="store_true", help="emit JSON summaries")
@@ -224,9 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
         add_execution_options(cmd, sweepable=True)
 
     resume = sub.add_parser(
-        "resume", help="continue a repro-ckpt-v3 checkpoint to completion"
+        "resume", help="continue a repro-ckpt-v4 checkpoint to completion"
     )
-    resume.add_argument("checkpoint", help="path to a repro-ckpt-v3 checkpoint file")
+    resume.add_argument("checkpoint", help="path to a repro-ckpt-v4 checkpoint file")
     add_execution_options(resume, sweepable=False)
 
     add_trace_parser(sub)

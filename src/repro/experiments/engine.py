@@ -255,7 +255,7 @@ def run_scenario(
     summary itself is unchanged.
 
     When the spec opts into checkpointing (``spec.checkpoint_every``), a
-    ``repro-ckpt-v3`` file is written every that many virtual seconds to
+    ``repro-ckpt-v4`` file is written every that many virtual seconds to
     ``options.checkpoint_path`` (default: :data:`DEFAULT_CHECKPOINT_DIR`
     under a per-point ``.ckpt`` name).  ``options.resume_from`` continues a
     previous checkpoint instead of building a fresh run; the checkpoint must
@@ -540,7 +540,7 @@ def sweep(
               at the machine's CPU count).
             * ``resume_dir`` — crash-resume journal directory.  Each
               completed point writes its result there atomically
-              (``point-NNNN.ckpt``, ``repro-ckpt-v3`` format); rerunning an
+              (``point-NNNN.ckpt``, ``repro-ckpt-v4`` format); rerunning an
               interrupted sweep with the same ``resume_dir`` re-executes
               only the unfinished points and produces a result identical to
               an uninterrupted run.  Stale journals (different base spec,

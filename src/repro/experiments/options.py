@@ -39,7 +39,7 @@ class ExecutionOptions:
         profiler: a :class:`~repro.sim.profiler.SimProfiler` installed on the
             simulator for the run; host-side observability only — virtual
             behaviour is identical with or without it.
-        checkpoint_every: write a ``repro-ckpt-v3`` checkpoint every this
+        checkpoint_every: write a ``repro-ckpt-v4`` checkpoint every this
             many virtual seconds (:func:`run_experiment` /
             :func:`resume_experiment`; the scenario engine reads the spec's
             ``checkpoint_every`` instead).

@@ -349,7 +349,7 @@ def _experiment_fingerprint(
 ) -> str:
     """A short deterministic digest of *what* is being simulated.
 
-    Stored in every ``repro-ckpt-v3`` header and recomputed on resume, so a
+    Stored in every ``repro-ckpt-v4`` header and recomputed on resume, so a
     checkpoint taken by one scenario cannot silently continue another.  Trace
     objects are summarised by class name (their content is not JSON-stable);
     everything else is the exact argument value.
@@ -575,7 +575,7 @@ def run_experiment(
     """Run one protocol on one simulated network and summarise the outcome.
 
     Execution strategy (profiling, periodic checkpointing, resume) comes in
-    through ``options``: ``checkpoint_every`` writes a ``repro-ckpt-v3``
+    through ``options``: ``checkpoint_every`` writes a ``repro-ckpt-v4``
     checkpoint to ``checkpoint_path`` every that many virtual seconds
     (uncounted internal callbacks, so summaries are byte-identical with it
     on or off); ``resume_from`` continues a checkpoint — a file path or an

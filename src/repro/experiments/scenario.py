@@ -326,7 +326,7 @@ class ScenarioSpec:
     #: columnar benchmarks) pin the committed transaction count with this.
     max_epochs: int | None = None
     block_size: int = 500_000
-    #: Write a ``repro-ckpt-v3`` checkpoint every this many virtual seconds
+    #: Write a ``repro-ckpt-v4`` checkpoint every this many virtual seconds
     #: (``None`` = no periodic checkpointing).  Summaries are bit-identical
     #: whether it is on or off.
     checkpoint_every: float | None = None

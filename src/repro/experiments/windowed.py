@@ -2,7 +2,7 @@
 
 A monolithic sweep point simulates its whole horizon ``[0, T)`` in one
 process.  This engine splits the horizon into ``W`` windows and executes
-them via ``repro-ckpt-v3`` checkpoint hand-off: a window can restore the
+them via ``repro-ckpt-v4`` checkpoint hand-off: a window can restore the
 state another process left at the previous boundary and continue.  Because
 restoring a checkpoint and continuing is bit-identical to never having
 stopped (the PR-7 snapshot contract), the chained windows produce exactly

@@ -1,4 +1,4 @@
-"""Simulation checkpoints: the ``repro-ckpt-v3`` on-disk format.
+"""Simulation checkpoints: the ``repro-ckpt-v4`` on-disk format.
 
 A checkpoint captures a *running* experiment — the event queue with its
 sequence counters and lazily-deleted slots, every pipe's in-flight
@@ -63,7 +63,7 @@ __all__ = [
 
 #: On-disk checkpoint format version.  Bump when the envelope or any
 #: ``_SNAPSHOT_FIELDS`` list changes incompatibly.
-FORMAT_VERSION = "repro-ckpt-v3"
+FORMAT_VERSION = "repro-ckpt-v4"
 
 #: ``kind`` header value for a full simulation checkpoint.
 KIND_SIMULATION = "simulation"
@@ -105,7 +105,7 @@ def write_snapshot_file(
     fingerprint: str,
     extra: dict[str, Any] | None = None,
 ) -> Path:
-    """Atomically write ``payload_obj`` to ``path`` in ``repro-ckpt-v3`` form.
+    """Atomically write ``payload_obj`` to ``path`` in ``repro-ckpt-v4`` form.
 
     The file is a one-line JSON header (format version, ``kind``, scenario
     ``fingerprint``, payload length and CRC-32, plus ``extra`` metadata)
@@ -242,7 +242,7 @@ class SimulationState:
 
 
 def save_checkpoint(path: str | Path, state: SimulationState) -> Path:
-    """Write ``state`` as a ``repro-ckpt-v3`` simulation checkpoint."""
+    """Write ``state`` as a ``repro-ckpt-v4`` simulation checkpoint."""
     return write_snapshot_file(
         path,
         state,

@@ -109,6 +109,7 @@ class AvidMInstance(SnapshotState):
         "_retrieval_done",
         "_retrieval_callbacks",
         "_received_chunks",
+        "_received_digests",
         "_return_chunk_seen",
         "_requested",
         "_cancelled_retrievers",
@@ -158,6 +159,9 @@ class AvidMInstance(SnapshotState):
         self._retrieval_done = False
         self._retrieval_callbacks: list[Callable[[RetrievalResult], None]] = []
         self._received_chunks: dict[bytes, dict[int, Chunk]] = {}
+        #: The leaf digest each received chunk was verified with, beside it
+        #: (per root, per index): decoding reuses them instead of rehashing.
+        self._received_digests: dict[bytes, dict[int, bytes]] = {}
         self._return_chunk_seen: set[int] = set()
         self._requested: set[int] = set()
         #: Clients that told us they decoded the block and need no more chunks.
@@ -264,7 +268,7 @@ class AvidMInstance(SnapshotState):
             return
         if msg.chunk.index != self.ctx.node_id:
             return
-        if not self.codec.verify_chunk(msg.root, msg.chunk):
+        if self.codec.verify_chunk(msg.root, msg.chunk) is None:
             return
         if self.my_chunk is None:
             self.my_chunk = msg.chunk
@@ -369,17 +373,23 @@ class AvidMInstance(SnapshotState):
         self._return_chunk_seen.add(src)
         if msg.chunk.index != src:
             return
-        if not self.codec.verify_chunk(msg.root, msg.chunk):
+        digest = self.codec.verify_chunk(msg.root, msg.chunk)
+        if digest is None:
             return
         chunks = self._received_chunks.setdefault(msg.root, {})
         chunks[msg.chunk.index] = msg.chunk
+        digests = self._received_digests.setdefault(msg.root, {})
+        digests[msg.chunk.index] = digest
         if len(chunks) >= self.params.data_shards:
-            decoded = self.codec.decode(msg.root, chunks)
+            decoded = self.codec.decode(msg.root, chunks, digests)
             ok = not (isinstance(decoded, str) and decoded == BAD_UPLOADER)
             self._retrieval_result = RetrievalResult(
                 instance=self.instance, payload=decoded, ok=ok
             )
             self._retrieval_done = True
+            # Retrieval is over: the chunks and digests are never read again.
+            self._received_chunks.clear()
+            self._received_digests.clear()
             # Tell every server we are done so the chunks still queued at
             # their egress are dropped instead of transmitted (S6.3).
             self.ctx.broadcast(

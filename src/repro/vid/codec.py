@@ -5,8 +5,9 @@ so the automaton takes a *codec* object:
 
 * :class:`RealCodec` — the faithful implementation: Reed-Solomon encode the
   payload bytes, build a Merkle tree over the chunks, verify Merkle proofs
-  on receipt, and re-encode after decoding to detect inconsistent dispersals
-  (the "re-encode and compare roots" check that is the key idea of AVID-M).
+  on receipt, and check after decoding that the chunks are the encoding of
+  the decoded payload (AVID-M's "re-encode and compare roots" check, done
+  as one codeword completion — see :meth:`RealCodec.decode`).
 * :class:`VirtualCodec` — used by throughput experiments: payloads are
   opaque objects that only declare a byte size; chunk sizes and message
   sizes are computed exactly as the real codec would, but no bytes are
@@ -120,29 +121,52 @@ class RealCodec:
         )
         return DispersalBundle(root=tree.root, chunks=chunks, payload_size=payload_size)
 
-    def verify_chunk(self, root: bytes, chunk: Chunk) -> bool:
-        """Check that ``chunk`` really is the ``chunk.index``-th leaf under ``root``."""
+    def verify_chunk(self, root: bytes, chunk: Chunk) -> bytes | None:
+        """Check that ``chunk`` really is the ``chunk.index``-th leaf under ``root``.
+
+        Returns the chunk's verified leaf digest, or ``None`` if it fails.
+        """
         if chunk.data is None or chunk.proof is None:
-            return False
+            return None
         if chunk.proof.index != chunk.index:
-            return False
+            return None
         return verify_proof(root, chunk.data, chunk.proof)
 
-    def decode(self, root: bytes, chunks: dict[int, Chunk]) -> Any:
+    def decode(
+        self,
+        root: bytes,
+        chunks: dict[int, Chunk],
+        digests: dict[int, bytes] | None = None,
+    ) -> Any:
         """Decode from at least ``N - 2f`` chunks and run the re-encode check.
 
         Returns the decoded payload bytes, or :data:`BAD_UPLOADER` if the
         chunks were not a consistent encoding of any payload (Fig. 4).
+
+        The check is one codeword completion
+        (:meth:`repro.erasure.rs_code.ReedSolomonCode.complete`): it yields
+        the payload only when the completed codeword equals
+        ``encode(payload)`` bit for bit, so comparing its Merkle root with
+        ``root`` is exactly "re-encode and compare roots".  ``digests`` are
+        the leaf digests :meth:`verify_chunk` returned for ``chunks``, by
+        index: a codeword shard equal to a verified chunk reuses its digest,
+        so each shard is hashed once per node.
         """
         shards = {
             index: chunk.data for index, chunk in chunks.items() if chunk.data is not None
         }
         try:
-            payload = self._rs.decode(shards)
+            payload, codeword = self._rs.complete(shards)
         except DecodingError:
             return BAD_UPLOADER
-        reencoded = self._rs.encode(payload)
-        if MerkleTree(reencoded).root != root:
+        known: dict[int, bytes] = {}
+        fresh: list[bytes] = []
+        for index, shard in enumerate(codeword):
+            if digests and index in digests and shard == shards.get(index):
+                known[index] = digests[index]
+            else:
+                fresh.append(shard)
+        if MerkleTree(fresh, known=known).root != root:
             return BAD_UPLOADER
         return payload
 
@@ -211,10 +235,17 @@ class VirtualCodec:
         )
         return DispersalBundle(root=root, chunks=chunks, payload_size=size)
 
-    def verify_chunk(self, root: bytes, chunk: Chunk) -> bool:
-        return chunk.payload_ref is not None
+    def verify_chunk(self, root: bytes, chunk: Chunk) -> bytes | None:
+        # Virtual chunks carry no bytes to hash; the root stands in for the
+        # leaf digest.
+        return root if chunk.payload_ref is not None else None
 
-    def decode(self, root: bytes, chunks: dict[int, Chunk]) -> Any:
+    def decode(
+        self,
+        root: bytes,
+        chunks: dict[int, Chunk],
+        digests: dict[int, bytes] | None = None,
+    ) -> Any:
         for chunk in chunks.values():
             if chunk.payload_ref is not None:
                 if getattr(chunk.payload_ref, "inconsistent", False):

@@ -44,6 +44,25 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             NodeConfig(max_parallel_retrievals=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("nagle_delay", "abc"),
+            ("nagle_size", "150000"),
+            ("max_block_size", None),
+            ("coupled_lag", True),
+            ("max_parallel_retrievals", [4]),
+            ("linking", "abc"),
+            ("coupled", 1),
+            ("propose_empty_when_idle", "true"),
+            ("retrieval_uses_priority", None),
+            ("retrieve_blocks", 0),
+        ],
+    )
+    def test_wrong_type_is_a_configuration_error(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            NodeConfig(**{field: value})
+
     def test_frozen(self):
         config = NodeConfig()
         with pytest.raises(Exception):

@@ -1,5 +1,7 @@
 """Tests for the Merkle tree and inclusion proofs."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,10 @@ class TestHashing:
     def test_deterministic(self):
         assert hash_data(b"hello") == hash_data(b"hello")
         assert hash_data(b"hello") != hash_data(b"hellO")
+
+    @pytest.mark.parametrize("data", [b"", b"x", bytes(range(256)) * 800])
+    def test_leaf_digest_is_prefixed_sha256(self, data):
+        assert hash_data(data) == hashlib.sha256(b"\x00" + data).digest()
 
 
 class TestMerkleTree:
@@ -95,6 +101,30 @@ class TestProofsAll:
         tree = MerkleTree(leaves)
         for leaf, proof in zip(leaves, tree.proofs_all()):
             assert verify_proof(tree.root, leaf, proof)
+
+
+class TestKnownDigests:
+    @pytest.mark.parametrize("count", range(1, 18))
+    def test_digest_built_tree_matches_hashed_tree(self, count):
+        leaves = [f"leaf-{i}".encode() * (i + 1) for i in range(count)]
+        reference = MerkleTree(leaves)
+        for known_positions in (range(count), range(0, count, 2), range(count - 1, count)):
+            known = {pos: hash_data(leaves[pos]) for pos in known_positions}
+            fresh = [leaf for pos, leaf in enumerate(leaves) if pos not in known]
+            tree = MerkleTree(fresh, known=known)
+            assert tree.root == reference.root
+            assert tree.proofs_all() == reference.proofs_all()
+
+    def test_known_position_out_of_range(self):
+        with pytest.raises(ValueError):
+            MerkleTree([b"a"], known={2: hash_data(b"b")})
+
+    def test_verify_proof_returns_the_leaf_digest(self):
+        leaves = [b"a", b"b", b"c"]
+        tree = MerkleTree(leaves)
+        for index, leaf in enumerate(leaves):
+            assert verify_proof(tree.root, leaf, tree.proof(index)) == hash_data(leaf)
+        assert verify_proof(tree.root, b"z", tree.proof(0)) is None
 
 
 class TestMerkleProperties:

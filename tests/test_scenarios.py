@@ -492,6 +492,23 @@ class TestCli:
         assert err.startswith("error: ") and field in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "assignment, field",
+        [
+            ("node.nagle_delay=abc", "nagle_delay"),
+            ("node.max_block_size=abc", "max_block_size"),
+            ("node.linking=abc", "linking"),
+            ("node.retrieve_blocks=abc", "retrieve_blocks"),
+        ],
+    )
+    def test_bad_node_value_is_a_one_line_error(self, assignment, field, capsys):
+        argv = ["run", "trace-replay-wan", "--duration", "2", "--serial", "--set", assignment]
+        rc = cli_main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and field in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_list_runs(self, capsys):
         assert cli_main(["list"]) == 0
         out = capsys.readouterr().out

@@ -1,4 +1,4 @@
-"""The ``repro-ckpt-v3`` checkpoint subsystem: format, mixin, timer, CLI.
+"""The ``repro-ckpt-v4`` checkpoint subsystem: format, mixin, timer, CLI.
 
 Covers the snapshot envelope's typed error paths (truncated file, version
 mismatch, corruption, foreign-scenario restore), the :class:`SnapshotState`
@@ -108,7 +108,7 @@ def test_slotted_class_round_trips():
 
 
 # ---------------------------------------------------------------------------
-# The repro-ckpt-v3 envelope
+# The repro-ckpt-v4 envelope
 # ---------------------------------------------------------------------------
 
 
@@ -396,6 +396,25 @@ def test_v2_checkpoint_is_refused_before_unpickling(tmp_path, capsys):
     assert cli_main(["resume", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "repro-ckpt-v2" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_v3_checkpoint_is_refused_before_unpickling(tmp_path, capsys):
+    """v3 AVID-M instances did not keep the verified leaf digests beside
+    their received chunks; the header refuses them."""
+    path = save_checkpoint(tmp_path / "old.ckpt", _bare_state(Simulator()))
+    blob = path.read_bytes()
+    newline = blob.find(b"\n")
+    header = json.loads(blob[:newline])
+    header["format"] = "repro-ckpt-v3"
+    # A payload that cannot unpickle proves the header check runs first.
+    garbage = b"x" * header["payload_bytes"]
+    path.write_bytes(json.dumps(header).encode() + b"\n" + garbage)
+    with pytest.raises(SnapshotError, match="repro-ckpt-v3"):
+        load_checkpoint(path)
+    assert cli_main(["resume", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "repro-ckpt-v3" in err
     assert err.count("\n") == 1 and "Traceback" not in err
 
 

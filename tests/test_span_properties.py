@@ -10,7 +10,7 @@ hypothesis properties pin that down over the fast-tier catalog slice:
 * the span JSONL from a run that checkpoints mid-flight, and from a run
   *resumed* off that checkpoint, must both be byte-identical to the
   monolithic file — open spans and FIFO transfer queues survive the
-  ``repro-ckpt-v3`` round trip exactly.
+  ``repro-ckpt-v4`` round trip exactly.
 
 Summaries ride along in every comparison so behaviour-neutrality is
 re-asserted at the same time.
